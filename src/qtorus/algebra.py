@@ -272,10 +272,7 @@ class AlgebraElement:
         records = []
         for idx in sorted(self._support):
             c = self._support[idx]
-            terms = [
-                [e, v.re.numerator, v.re.denominator, v.im.numerator, v.im.denominator]
-                for e, v in sorted(c.terms.items())
-            ]
+            terms = [[e, *v.record_parts()] for e, v in sorted(c.terms.items())]
             records.append([list(idx), terms])
         return records
 

@@ -152,10 +152,7 @@ def _algebra_from_name(name: str) -> AlgebraDescriptor:
 
 
 def _scalar_records(scalar: PhaseScalar) -> list:
-    return [
-        [e, c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator]
-        for e, c in sorted(scalar.terms.items())
-    ]
+    return [[e, *c.record_parts()] for e, c in sorted(scalar.terms.items())]
 
 
 def _format_complex(z: complex) -> str:

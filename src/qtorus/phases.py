@@ -7,6 +7,10 @@ branch of q**(1/2) and certifies every identity for all q on the unit circle
 at once; :meth:`PhaseScalar.eval_numeric` fixes the branch s = exp(i*pi*theta)
 for q = exp(2*pi*i*theta), theta in [0, 2).
 
+A Gaussian rational is stored as one reduced integer triple
+(re_num, im_num, den) with den > 0 and gcd(re_num, im_num, den) == 1, so its
+arithmetic is plain integer arithmetic and equality is structural.
+
 All values are immutable and all operations are pure functions, so they may
 be shared freely between threads.
 """
@@ -18,6 +22,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
@@ -36,41 +41,90 @@ RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "GaussianRational"]
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+_new_object = object.__new__
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n/d in lowest terms, written without a denominator when it is 1."""
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 class GaussianRational:
     """A complex number a + b*i with exact rational parts.
 
-    ``Fraction`` keeps both parts in lowest terms with positive denominator,
-    so equality is plain structural equality.
+    Stored as one reduced integer triple ``(re_num, im_num, den)`` standing
+    for ``(re_num + im_num*i) / den``, with ``den > 0`` and
+    ``gcd(re_num, im_num, den) == 1``.  The triple is unique for each value,
+    so equality is plain structural equality, and every operation is integer
+    arithmetic followed by one gcd, which is skipped when the denominator is 1.
+    ``re`` and ``im`` give the parts as lowest-terms ``Fraction`` values.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re, im = Fraction(re), Fraction(im)
+        rd, imd = re.denominator, im.denominator
+        # the lcm of two lowest-terms denominators leaves the triple reduced
+        d = rd * imd // gcd(rd, imd)
+        self._a = re.numerator * (d // rd)
+        self._b = im.numerator * (d // imd)
+        self._d = d
+
+    @staticmethod
+    def _raw(a: int, b: int, d: int) -> "GaussianRational":
+        """The triple (a, b, d) as is; the caller guarantees the invariant."""
+        self = _new_object(GaussianRational)
+        self._a = a
+        self._b = b
+        self._d = d
+        return self
 
     @classmethod
     def from_value(cls, value: ScalarLike) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
+        if isinstance(value, int):
+            return cls._raw(int(value), 0, 1)
+        if isinstance(value, Fraction):
+            return cls._raw(value.numerator, 0, value.denominator)
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def record_parts(self) -> tuple[int, int, int, int]:
+        """(re numerator, re denominator, im numerator, im denominator), lowest terms."""
+        a, b, d = self._a, self._b, self._d
+        if d == 1:
+            return a, 1, b, 1
+        g, h = gcd(a, d), gcd(b, d)
+        return a // g, d // g, b // h, d // h
+
     def __add__(self, other: ScalarLike) -> "GaussianRational":
-        if not isinstance(other, (GaussianRational, int, Fraction)):
-            return NotImplemented
-        other = GaussianRational.from_value(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if not isinstance(other, GaussianRational):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussianRational.from_value(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational._raw(-self._a, -self._b, self._d)
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
         if not isinstance(other, (GaussianRational, int, Fraction)):
@@ -81,57 +135,74 @@ class GaussianRational:
         return (-self) + other
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
-        if not isinstance(other, (GaussianRational, int, Fraction)):
-            return NotImplemented
-        other = GaussianRational.from_value(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if not isinstance(other, GaussianRational):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussianRational.from_value(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        norm = self.re * self.re + self.im * self.im
+        # d / (a + b*i) = d*(a - b*i) / (a*a + b*b)
+        a, b, d = self._a, self._b, self._d
+        norm = a * a + b * b
         if not norm:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / norm, -self.im / norm)
+        return _reduced(d * a, -d * b, norm)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return GaussianRational._raw(self._a, -self._b, self._d)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return self._b == 0 and self._d == other.denominator and self._a == other.numerator
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # a real value hashes like the equal int or Fraction
+        if self._b == 0:
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a) or bool(self._b)
 
     def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
-        if not self.im:
-            return _frac_str(self.re)
-        if not self.re:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return f"{_frac_str(self.im)}i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        imtxt = "i" if mag == 1 else f"{_frac_str(mag)}i"
-        return f"({_frac_str(self.re)}{sign}{imtxt})"
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio_str(a, d)
+        if b == d:
+            imtxt = "i"
+        elif b == -d:
+            imtxt = "-i"
+        else:
+            imtxt = f"{_ratio_str(b, d)}i"
+        if not a:
+            return imtxt
+        if b > 0:
+            imtxt = "+" + imtxt
+        return f"({_ratio_str(a, d)}{imtxt})"
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i) / d for d > 0, divided through by the common gcd."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return GaussianRational._raw(a, b, d)
 
 
 _GR_ONE = GaussianRational(1)
@@ -274,6 +345,11 @@ class PhaseScalar:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant hashes like its coefficient, which it compares equal to
+        if not self._terms:
+            return 0
+        if len(self._terms) == 1 and 0 in self._terms:
+            return hash(self._terms[0])
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:
@@ -365,7 +441,10 @@ def tokenize(text: str, names: tuple[str, ...] = ()) -> list[Token]:
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         if m.lastgroup == "num":
-            tokens.append(("num", Fraction(m.group()), pos))
+            num, _, den = m.group().partition("/")
+            if den and not int(den):
+                raise ParseError("zero denominator", pos)
+            tokens.append(("num", Fraction(int(num), int(den or 1)), pos))
         else:
             tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()

@@ -170,16 +170,6 @@ def _mismatch_elements(lhs: AlgebraElement, rhs: AlgebraElement) -> str | None:
     return None
 
 
-def _mismatch_scalars(lhs: PhaseScalar, rhs: PhaseScalar) -> str | None:
-    if lhs != rhs:
-        return f"symbolic: {lhs.render()}  !=  {rhs.render()}"
-    for theta in THETA_PROBES:
-        gap = abs(lhs.eval_numeric(theta) - rhs.eval_numeric(theta))
-        if gap > NUMERIC_TOL:
-            return f"numeric at theta={theta}: gap {gap:.3e}"
-    return None
-
-
 # --- check registry -----------------------------------------------------
 
 CheckFunction = Callable[[TrialConfig, random.Random], CheckReport]

@@ -108,6 +108,15 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_zero_denominator_is_a_parse_error(capsys):
+    assert main(["normalize", "--algebra", "torus", "1/0 U"]) == 2
+    err = capsys.readouterr().err
+    assert "zero denominator (at position 0)" in err
+    assert "Traceback" not in err
+    assert main(["normalize", "--algebra", "torus", "U + 3/00"]) == 2
+    assert "zero denominator (at position 4)" in capsys.readouterr().err
+
+
 def test_check_command_pass(capsys):
     code = main(["check", "--suite", "antipode-law", "--seed", "7", "--trials", "50"])
     out = capsys.readouterr().out

@@ -56,6 +56,79 @@ def test_gaussian_rational_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+def test_hash_agrees_with_equality():
+    assert GaussianRational(2) == 2 and len({GaussianRational(2), 2}) == 1
+    assert hash(GaussianRational(Fraction(-3, 4))) == hash(Fraction(-3, 4))
+    assert hash(GaussianRational(0, 1)) == hash(GaussianRational(Fraction(0), Fraction(2, 2)))
+    assert PhaseScalar(1) == 1 and len({PhaseScalar(1), 1, ONE}) == 1
+    assert hash(PhaseScalar(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(PhaseScalar(GaussianRational(1, 1))) == hash(GaussianRational(1, 1))
+    assert ZERO == 0 and hash(ZERO) == hash(0)
+
+
+# --- integer-triple kernel against a Fraction-pair reference ---
+
+rationals = st.one_of(
+    st.integers(-20, 20), st.fractions(min_value=-20, max_value=20, max_denominator=36)
+)
+rational_pairs = st.tuples(rationals, rationals)
+
+
+def _reference_str(re: Fraction, im: Fraction) -> str:
+    """The rendering of a + b*i, written out on the Fraction parts."""
+
+    def frac(x: Fraction) -> str:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+    if not im:
+        return frac(re)
+    imtxt = "i" if abs(im) == 1 else f"{frac(abs(im))}i"
+    if not re:
+        return imtxt if im > 0 else f"-{imtxt}"
+    return f"({frac(re)}{'+' if im > 0 else '-'}{imtxt})"
+
+
+def _assert_matches_reference(got: GaussianRational, re: Fraction, im: Fraction):
+    a, b, d = got._a, got._b, got._d
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert (got.re, got.im) == (re, im)
+    assert got.record_parts() == (re.numerator, re.denominator, im.numerator, im.denominator)
+    assert got == GaussianRational(re, im)
+    assert hash(got) == hash(GaussianRational(re, im))
+    assert hash(PhaseScalar(got)) == hash(got)
+    if im == 0:
+        assert got == re and hash(got) == hash(re)
+    else:
+        assert got != re
+    assert bool(got) == bool(re or im)
+    assert got.to_complex() == complex(float(re), float(im))
+    assert str(got) == _reference_str(re, im)
+
+
+@given(rational_pairs, rational_pairs)
+@settings(max_examples=300)
+def test_integer_kernel_matches_fraction_pair_reference(p, r):
+    a, b = map(Fraction, p)
+    c, d = map(Fraction, r)
+    x, y = GaussianRational(*p), GaussianRational(*r)
+    _assert_matches_reference(x, a, b)
+    _assert_matches_reference(x + y, a + c, b + d)
+    _assert_matches_reference(x - y, a - c, b - d)
+    _assert_matches_reference(x * y, a * c - b * d, a * d + b * c)
+    _assert_matches_reference(-x, -a, -b)
+    _assert_matches_reference(x.conjugate(), a, -b)
+    _assert_matches_reference(x + c, a + c, b)
+    _assert_matches_reference(c - x, c - a, -b)
+    _assert_matches_reference(x * c, a * c, b * c)
+    _assert_matches_reference(3 * x, 3 * a, 3 * b)
+    norm = a * a + b * b
+    if norm:
+        _assert_matches_reference(x.inverse(), a / norm, -b / norm)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+
+
 # --- construction and basic identities ---
 
 def test_phase_pow_examples():
@@ -191,6 +264,12 @@ def test_parse_accepts_plain_q_and_imaginary_units():
     assert parse_phase("i*i") == PhaseScalar(-1)
     assert parse_phase("-i") == PhaseScalar(GaussianRational(0, -1))
     assert parse_phase("2 q^(1/2)") == PhaseScalar(2) * phase_pow(1)
+
+
+def test_parse_rejects_zero_denominator():
+    with pytest.raises(ParseError) as err:
+        parse_phase("2 + 1/0")
+    assert err.value.pos == 4 and "zero denominator" in str(err.value)
 
 
 def test_parse_errors_carry_positions():
