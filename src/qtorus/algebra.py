@@ -93,6 +93,14 @@ class AlgebraDescriptor:
         """s-exponent picked up by delta^a * delta^b."""
         return sum(m * a[i] * b[j] for i, j, m in self._entries)
 
+    def monomial_text(self, idx: MultiIndex) -> str:
+        """Generator powers of delta^idx, e.g. "U^2 V"; empty for the unit."""
+        return " ".join(
+            name if k == 1 else f"{name}^{k}"
+            for name, k in zip(self.generator_names, idx)
+            if k
+        )
+
     def check_index(self, idx: MultiIndex) -> MultiIndex:
         idx = tuple(idx)
         if len(idx) != self.d:
@@ -242,15 +250,11 @@ class AlgebraElement:
         """Canonical text: terms sorted by index, zero exponents omitted."""
         if not self._support:
             return "0"
-        names = self.algebra.generator_names
+        monomial_text = self.algebra.monomial_text
         parts = []
         for idx in sorted(self._support):
             c = self._support[idx]
-            gens = " ".join(
-                name if k == 1 else f"{name}^{k}"
-                for name, k in zip(names, idx)
-                if k
-            )
+            gens = monomial_text(idx)
             if not gens:
                 parts.append(c.render())
             elif c == ONE:
@@ -269,12 +273,7 @@ class AlgebraElement:
 
     def to_records(self) -> list:
         """Machine-readable form: [[index, [[s-exp, re-num, re-den, im-num, im-den], ...]], ...]."""
-        records = []
-        for idx in sorted(self._support):
-            c = self._support[idx]
-            terms = [[e, *v.record_parts()] for e, v in sorted(c.terms.items())]
-            records.append([list(idx), terms])
-        return records
+        return [[list(idx), self._support[idx].to_records()] for idx in sorted(self._support)]
 
     @classmethod
     def from_records(cls, algebra: AlgebraDescriptor, records: list) -> "AlgebraElement":

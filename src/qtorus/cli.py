@@ -18,19 +18,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from .phases import (
-    GaussianRational,
-    ParseError,
-    PhaseScalar,
-    Token,
-    parse_q_exponent,
-    parse_signed_int,
-    phase_pow,
-    tokenize,
-    _peek_op,
-)
+from .phases import ParseError, PhaseScalar, parse_tokens, tokenize
 from .algebra import ALGEBRAS, AlgebraDescriptor, AlgebraElement
 from .maps import MAPS
 from .suite import (
@@ -43,103 +34,14 @@ from .suite import (
 __all__ = ["parse_expression", "main", "entry_point"]
 
 
-# expression grammar, left-associative products:
-#   expr   := [sign] term ((+|-) term)*
-#   term   := factor+            with '*' allowed between factors
-#   factor := gen [^ int] | scalar | ( expr )
-#   scalar := rational | i | q [^ q-exponent]
-class _Parser:
-    def __init__(self, algebra: AlgebraDescriptor, text: str):
-        self.algebra = algebra
-        self.tokens = tokenize(text, algebra.generator_names)
-        self.i = 0
-
-    def parse(self) -> AlgebraElement:
-        value = self._expr()
-        if self.i != len(self.tokens):
-            raise ParseError("unexpected trailing input", self.tokens[self.i][2])
-        return value
-
-    def _peek(self) -> Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def _expr(self) -> AlgebraElement:
-        total = self.algebra.zero()
-        sign = 1
-        if _peek_op(self.tokens, self.i, "+-"):
-            sign = -1 if self.tokens[self.i][1] == "-" else 1
-            self.i += 1
-        while True:
-            term = self._term()
-            total = total + (term if sign == 1 else -term)
-            if _peek_op(self.tokens, self.i, "+-"):
-                sign = -1 if self.tokens[self.i][1] == "-" else 1
-                self.i += 1
-            else:
-                return total
-
-    def _starts_factor(self) -> bool:
-        tok = self._peek()
-        if tok is None:
-            return False
-        kind, value, _ = tok
-        return kind in ("num", "name", "word") or (kind == "op" and value == "(")
-
-    def _term(self) -> AlgebraElement:
-        value = self._factor()
-        while True:
-            if _peek_op(self.tokens, self.i, "*"):
-                self.i += 1
-                value = value * self._factor()
-            elif self._starts_factor():
-                value = value * self._factor()
-            else:
-                return value
-
-    def _factor(self) -> AlgebraElement:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("expected an expression", len(self.tokens))
-        kind, value, pos = tok
-        if kind == "num":
-            self.i += 1
-            return self.algebra.unit() * PhaseScalar(value)
-        if kind == "word":
-            raise ParseError(
-                f"unknown generator {value!r} for algebra {self.algebra.name!r}", pos
-            )
-        if kind == "name":
-            if value == "i":
-                self.i += 1
-                return self.algebra.unit() * PhaseScalar(GaussianRational(0, 1))
-            if value == "q":
-                self.i += 1
-                if _peek_op(self.tokens, self.i, "^"):
-                    e, self.i = parse_q_exponent(self.tokens, self.i + 1)
-                    return self.algebra.unit() * phase_pow(e)
-                return self.algebra.unit() * phase_pow(2)
-            # a generator of the chosen algebra
-            self.i += 1
-            power = 1
-            if _peek_op(self.tokens, self.i, "^"):
-                power, self.i = parse_signed_int(self.tokens, self.i + 1)
-            if power == 0:
-                return self.algebra.unit()
-            return self.algebra.generator(value, power)
-        if kind == "op" and value == "(":
-            self.i += 1
-            inner = self._expr()
-            if not _peek_op(self.tokens, self.i, ")"):
-                p = self.tokens[self.i][2] if self.i < len(self.tokens) else len(self.tokens)
-                raise ParseError("expected ')'", p)
-            self.i += 1
-            return inner
-        raise ParseError(f"unexpected {value!r}", pos)
-
-
 def parse_expression(algebra: AlgebraDescriptor, text: str) -> AlgebraElement:
-    """Parse expression text and evaluate it to a canonical element."""
-    return _Parser(algebra, text).parse()
+    """Parse expression text and evaluate it to a canonical element.
+
+    The grammar is the one of :func:`qtorus.phases.parse_phase`, extended by
+    the generators of ``algebra``; a scalar result is lifted into the algebra.
+    """
+    value = parse_tokens(tokenize(text, algebra.generator_names), algebra)
+    return value if isinstance(value, AlgebraElement) else algebra.unit().scale(value)
 
 
 def _algebra_from_name(name: str) -> AlgebraDescriptor:
@@ -151,21 +53,8 @@ def _algebra_from_name(name: str) -> AlgebraDescriptor:
         ) from None
 
 
-def _scalar_records(scalar: PhaseScalar) -> list:
-    return [[e, *c.record_parts()] for e, c in sorted(scalar.terms.items())]
-
-
 def _format_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
-
-
-def _monomial_label(algebra: AlgebraDescriptor, idx) -> str:
-    parts = [
-        name if k == 1 else f"{name}^{k}"
-        for name, k in zip(algebra.generator_names, idx)
-        if k
-    ]
-    return " ".join(parts) if parts else "1"
 
 
 def _cmd_normalize(args) -> int:
@@ -202,16 +91,12 @@ def _cmd_apply(args) -> int:
         )
     element = parse_expression(fmap.source, args.expr)
     image = fmap(element)
-    if isinstance(image, PhaseScalar):
-        if args.format == "text":
-            print(image.render())
-        else:
-            print(json.dumps({"scalar": _scalar_records(image)}))
+    if args.format == "text":
+        print(image.render())
+    elif isinstance(image, PhaseScalar):
+        print(json.dumps({"scalar": image.to_records()}))
     else:
-        if args.format == "text":
-            print(image.render())
-        else:
-            print(json.dumps({"algebra": image.algebra.name, "terms": image.to_records()}))
+        print(json.dumps({"algebra": image.algebra.name, "terms": image.to_records()}))
     return 0
 
 
@@ -229,12 +114,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if not math.isfinite(args.theta):
+        raise ValueError(f"theta must be a finite number, got {args.theta}")
     algebra = _algebra_from_name(args.algebra)
     element = parse_expression(algebra, args.expr)
     values = element.eval_numeric(args.theta)
     if args.format == "text":
         for idx in sorted(values):
-            print(f"{_monomial_label(algebra, idx)}: {_format_complex(values[idx])}")
+            print(f"{algebra.monomial_text(idx) or '1'}: {_format_complex(values[idx])}")
     else:
         print(
             json.dumps(

@@ -11,6 +11,11 @@ A Gaussian rational is stored as one reduced integer triple
 (re_num, im_num, den) with den > 0 and gcd(re_num, im_num, den) == 1, so its
 arithmetic is plain integer arithmetic and equality is structural.
 
+This module also holds the library's one expression grammar: the tokenizer
+and the recursive-descent parser behind both :func:`parse_phase` (scalars
+alone) and ``qtorus.cli.parse_expression`` (elements of a named algebra,
+whose generators the parser takes from the algebra it is given).
+
 All values are immutable and all operations are pure functions, so they may
 be shared freely between threads.
 """
@@ -34,6 +39,7 @@ __all__ = [
     "ZERO",
     "phase_pow",
     "parse_phase",
+    "parse_tokens",
     "tokenize",
 ]
 
@@ -355,6 +361,10 @@ class PhaseScalar:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
+    def to_records(self) -> list:
+        """Machine-readable form: [[s-exp, re-num, re-den, im-num, im-den], ...]."""
+        return [[e, *c.record_parts()] for e, c in sorted(self._terms.items())]
+
     def eval_numeric(self, theta: float) -> complex:
         """Evaluate at s = exp(i*pi*theta), i.e. q = exp(2*pi*i*theta)."""
         base = cmath.exp(1j * math.pi * theta)
@@ -400,7 +410,7 @@ def phase_pow(e: int) -> PhaseScalar:
     return PhaseScalar._raw({e: _GR_ONE})
 
 
-# --- tokenizing and parsing of the canonical scalar rendering ---
+# --- tokenizing and parsing of expression text ---
 
 class ParseError(ValueError):
     """Syntax error in expression text, with the offending position."""
@@ -451,123 +461,144 @@ def tokenize(text: str, names: tuple[str, ...] = ()) -> list[Token]:
     return tokens
 
 
-def _peek_op(tokens: list[Token], i: int, ops: str) -> bool:
-    return i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in ops
+# Parentheses nest at most this deep; canonical renderings nest at most 2.
+MAX_NESTING = 100
+
+_I = PhaseScalar(GaussianRational(0, 1))
 
 
-def parse_signed_int(tokens: list[Token], i: int) -> tuple[int, int]:
-    """An integer exponent: optionally parenthesized, optionally signed."""
-    parens = _peek_op(tokens, i, "(")
-    if parens:
-        i += 1
-    sign = 1
-    if _peek_op(tokens, i, "+-"):
-        sign = -1 if tokens[i][1] == "-" else 1
-        i += 1
-    if i >= len(tokens) or tokens[i][0] != "num":
-        pos = tokens[i][2] if i < len(tokens) else len(tokens)
-        raise ParseError("expected an integer exponent", pos)
-    value = tokens[i][1]
-    if value.denominator != 1:
-        raise ParseError("generator exponent must be an integer", tokens[i][2])
-    i += 1
-    if parens:
-        if not _peek_op(tokens, i, ")"):
-            pos = tokens[i][2] if i < len(tokens) else len(tokens)
+class _Parser:
+    """Recursive descent over tokens for the one expression grammar::
+
+        expr   := [sign] term ((+|-) term)*
+        term   := factor+            with '*' allowed between factors
+        factor := gen [^ int] | rational | i | q [^ q-exp] | ( expr )
+
+    Products are left-associative.  Scalar factors evaluate to PhaseScalar
+    and stay scalars until they meet a generator.  ``algebra`` (an
+    AlgebraDescriptor, or None for scalars alone) supplies the generators
+    and the unit into which a scalar is lifted when it is added to an element.
+    """
+
+    def __init__(self, tokens: list[Token], algebra=None):
+        self.tokens = tokens
+        self.algebra = algebra
+        self.i = 0
+        self.depth = 0
+
+    def _at(self, ops: str) -> bool:
+        """Whether the next token is one of the operators in ``ops``."""
+        tokens, i = self.tokens, self.i
+        return i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in ops
+
+    def _close(self) -> None:
+        """Consume the ')' that must come next."""
+        if not self._at(")"):
+            i = self.i
+            pos = self.tokens[i][2] if i < len(self.tokens) else len(self.tokens)
             raise ParseError("expected ')'", pos)
-        i += 1
-    return sign * int(value), i
+        self.i += 1
+
+    def _sign(self) -> int:
+        if self._at("+-"):
+            self.i += 1
+            return -1 if self.tokens[self.i - 1][1] == "-" else 1
+        return 1
+
+    def _add(self, a, b):
+        if isinstance(a, PhaseScalar) != isinstance(b, PhaseScalar):
+            unit = self.algebra.unit()
+            a, b = (unit.scale(a), b) if isinstance(a, PhaseScalar) else (a, unit.scale(b))
+        return a + b
+
+    def expr(self):
+        total = self._signed_term()
+        while self._at("+-"):
+            total = self._add(total, self._signed_term())
+        return total
+
+    def _signed_term(self):
+        sign = self._sign()
+        term = self.term()
+        return term if sign == 1 else -term
+
+    def term(self):
+        value = self.factor()
+        while self.i < len(self.tokens):
+            kind, op, _ = self.tokens[self.i]
+            if kind == "op" and op == "*":
+                self.i += 1
+            elif kind == "op" and op != "(":
+                break  # no factor starts here
+            value = value * self.factor()
+        return value
+
+    def factor(self):
+        if self.i >= len(self.tokens):
+            raise ParseError("expected an expression", len(self.tokens))
+        kind, value, pos = self.tokens[self.i]
+        self.i += 1
+        if kind == "num":
+            return PhaseScalar(value)
+        if kind == "name":
+            if value == "i":
+                return _I
+            units = 2 if value == "q" else 1
+            power = units  # a bare symbol is its first power
+            if self._at("^"):
+                self.i += 1
+                power = self._exponent(units)
+            if value == "q":
+                return phase_pow(power)
+            return self.algebra.generator(value, power)
+        if kind == "word":
+            where = f" for algebra {self.algebra.name!r}" if self.algebra else ""
+            raise ParseError(f"unknown generator {value!r}{where}", pos)
+        if value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError("expression nested too deeply", pos)
+            self.depth += 1
+            inner = self.expr()
+            self.depth -= 1
+            self._close()
+            return inner
+        raise ParseError(f"unexpected {value!r}", pos)
+
+    def _exponent(self, units: int) -> int:
+        """An exponent, optionally parenthesized and signed, times ``units``.
+
+        Generator powers are read with units 1 and q powers with units 2
+        (s-exponent units); either way the result must be an integer.
+        """
+        parens = self._at("(")
+        if parens:
+            self.i += 1
+        sign = self._sign()
+        if self.i >= len(self.tokens):
+            raise ParseError("expected an exponent", len(self.tokens))
+        if self.tokens[self.i][0] != "num":
+            raise ParseError("expected an exponent", self.tokens[self.i][2])
+        scaled = sign * units * self.tokens[self.i][1]
+        if scaled.denominator != 1:
+            what = "q exponent must be a multiple of 1/2" if units == 2 else (
+                "generator exponent must be an integer")
+            raise ParseError(what, self.tokens[self.i][2])
+        self.i += 1
+        if parens:
+            self._close()
+        return int(scaled)
 
 
-def parse_q_exponent(tokens: list[Token], i: int) -> tuple[int, int]:
-    """A q-exponent (integer or half-integer), returned in s-exponent units."""
-    parens = _peek_op(tokens, i, "(")
-    if parens:
-        i += 1
-    sign = 1
-    if _peek_op(tokens, i, "+-"):
-        sign = -1 if tokens[i][1] == "-" else 1
-        i += 1
-    if i >= len(tokens) or tokens[i][0] != "num":
-        pos = tokens[i][2] if i < len(tokens) else len(tokens)
-        raise ParseError("expected a q exponent", pos)
-    value = sign * tokens[i][1]
-    doubled = 2 * value
-    if doubled.denominator != 1:
-        raise ParseError("q exponent must be a multiple of 1/2", tokens[i][2])
-    i += 1
-    if parens:
-        if not _peek_op(tokens, i, ")"):
-            pos = tokens[i][2] if i < len(tokens) else len(tokens)
-            raise ParseError("expected ')'", pos)
-        i += 1
-    return int(doubled), i
-
-
-def _parse_scalar_atom(tokens: list[Token], i: int) -> tuple[PhaseScalar, int]:
-    if i >= len(tokens):
-        raise ParseError("expected a scalar", len(tokens))
-    kind, value, pos = tokens[i]
-    if kind == "num":
-        return PhaseScalar(value), i + 1
-    if kind == "name" and value == "i":
-        return PhaseScalar(GaussianRational(0, 1)), i + 1
-    if kind == "name" and value == "q":
-        i += 1
-        if _peek_op(tokens, i, "^"):
-            e, i = parse_q_exponent(tokens, i + 1)
-            return phase_pow(e), i
-        return phase_pow(2), i
-    if kind == "op" and value == "(":
-        inner, i = _parse_scalar_expr(tokens, i + 1)
-        if not _peek_op(tokens, i, ")"):
-            p = tokens[i][2] if i < len(tokens) else len(tokens)
-            raise ParseError("expected ')'", p)
-        return inner, i + 1
-    raise ParseError(f"expected a scalar, found {value!r}", pos)
-
-
-def _starts_scalar_atom(tokens: list[Token], i: int) -> bool:
-    if i >= len(tokens):
-        return False
-    kind, value, _ = tokens[i]
-    return kind == "num" or (kind == "name" and value in ("i", "q")) or (
-        kind == "op" and value == "("
-    )
-
-
-def _parse_scalar_term(tokens: list[Token], i: int) -> tuple[PhaseScalar, int]:
-    value, i = _parse_scalar_atom(tokens, i)
-    while True:
-        if _peek_op(tokens, i, "*"):
-            nxt, i = _parse_scalar_atom(tokens, i + 1)
-        elif _starts_scalar_atom(tokens, i):
-            nxt, i = _parse_scalar_atom(tokens, i)
-        else:
-            return value, i
-        value = value * nxt
-
-
-def _parse_scalar_expr(tokens: list[Token], i: int) -> tuple[PhaseScalar, int]:
-    total = ZERO
-    sign = 1
-    if _peek_op(tokens, i, "+-"):
-        sign = -1 if tokens[i][1] == "-" else 1
-        i += 1
-    while True:
-        term, i = _parse_scalar_term(tokens, i)
-        total = total + (term if sign == 1 else -term)
-        if _peek_op(tokens, i, "+-"):
-            sign = -1 if tokens[i][1] == "-" else 1
-            i += 1
-        else:
-            return total, i
+def parse_tokens(tokens: list[Token], algebra=None):
+    """Parse a whole token list: a PhaseScalar, or an element of ``algebra``
+    if the expression names one of its generators."""
+    parser = _Parser(tokens, algebra)
+    value = parser.expr()
+    if parser.i != len(tokens):
+        raise ParseError("unexpected trailing input", tokens[parser.i][2])
+    return value
 
 
 def parse_phase(text: str) -> PhaseScalar:
     """Parse the canonical scalar rendering back into a PhaseScalar."""
-    tokens = tokenize(text)
-    value, i = _parse_scalar_expr(tokens, 0)
-    if i != len(tokens):
-        raise ParseError("unexpected trailing input", tokens[i][2])
-    return value
+    return parse_tokens(tokenize(text))

@@ -1,11 +1,15 @@
 """Command-line interface: parsing, commands, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qtorus.phases import GaussianRational, PhaseScalar, phase_pow
+from qtorus.phases import MAX_NESTING, GaussianRational, PhaseScalar, parse_phase, phase_pow
 from qtorus.algebra import ALGEBRAS, CIRCLE, P2, TORUS
 from qtorus.cli import main, parse_expression
 from qtorus.suite import TrialConfig, random_element
@@ -67,6 +71,68 @@ def test_round_trip_small_sample():
         for _ in range(25):
             x = random_element(algebra, cfg, rng)
             assert parse_expression(algebra, x.render()) == x
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
+phase_scalars = st.dictionaries(st.integers(-8, 8), gaussians, max_size=4).map(PhaseScalar)
+
+
+@given(phase_scalars)
+@settings(max_examples=100)
+def test_scalar_text_parses_to_the_scaled_unit(a):
+    text = a.render()
+    for algebra in ALGEBRAS.values():
+        assert parse_expression(algebra, text) == algebra.unit().scale(parse_phase(text))
+
+
+def test_mixed_scalar_forms_parse_to_the_scaled_unit():
+    for text in ("2 q i - (1/2 - q^(-3/2))", "-i*i + q^(1/2) q^(-1/2)", "((3))(q - 1) - 0",
+                 "i(i(i + 1)) + 7/4 q^-1"):
+        for algebra in ALGEBRAS.values():
+            assert parse_expression(algebra, text) == algebra.unit().scale(parse_phase(text))
+
+
+def test_scalars_lift_into_the_algebra_only_when_added_to_elements():
+    assert parse_expression(TORUS, "1 + U") == TORUS.unit() + TORUS.generator("U")
+    assert parse_expression(TORUS, "U - q") == TORUS.generator("U") - TORUS.unit().scale(phase_pow(2))
+    assert parse_expression(TORUS, "(2 + i) (U + 1) 0") == TORUS.zero()
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+SOUP_TOKENS = ["U", "V", "U1", "V2", "z", "q", "i", "W", "2", "1/2", "1/0", "+", "-", "*",
+               "^", "^-1", "(", ")", " ", "!", "q^(1/2)"]
+token_soups = st.one_of(
+    st.lists(st.sampled_from(SOUP_TOKENS), max_size=20).map("".join),
+    st.integers(0, 3000).map(lambda n: "(" * n + "U" + ")" * n),
+    st.integers(0, 3000).map(lambda n: "(" * n),
+)
+
+
+@given(st.sampled_from(sorted(ALGEBRAS)), token_soups)
+@settings(max_examples=300, deadline=None)
+def test_normalize_fuzz_exits_cleanly(name, text):
+    code, out, err = _run_main(["normalize", "--algebra", name, "--", text])
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.strip() and not out
+    else:
+        assert out.strip() and not err
+
+
+def test_deep_nesting_is_a_parse_error():
+    code, out, err = _run_main(["normalize", "--algebra", "torus", "(" * 3000 + "U" + ")" * 3000])
+    assert code == 2 and not out
+    assert f"expression nested too deeply (at position {MAX_NESTING})" in err
+    deepest = "(" * MAX_NESTING + "U" + ")" * MAX_NESTING
+    assert _run_main(["normalize", "--algebra", "torus", deepest]) == (0, "U\n", "")
 
 
 # --- commands ---
@@ -189,6 +255,14 @@ def test_eval_json(capsys):
     coeffs = {tuple(c["index"]): complex(c["re"], c["im"]) for c in payload["coefficients"]}
     assert abs(coeffs[(1, 0)] - (-1)) < 1e-12
     assert abs(coeffs[(0, 1)] - 1) < 1e-12
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_eval_rejects_non_finite_theta(capsys, theta):
+    assert main(["eval", f"--theta={theta}", "--algebra", "torus", "q U"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "theta must be a finite number" in captured.err
 
 
 def test_usage_error_exits_2():

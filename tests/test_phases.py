@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtorus.phases import (
+    MAX_NESTING,
     ONE,
     ZERO,
     GaussianRational,
@@ -283,3 +284,11 @@ def test_parse_errors_carry_positions():
         parse_phase("2 ! 3")
     except ParseError as err:
         assert err.pos == 2
+
+
+def test_parse_bounds_the_nesting_depth():
+    deepest = "(" * MAX_NESTING + "2" + ")" * MAX_NESTING
+    assert parse_phase(deepest) == PhaseScalar(2)
+    with pytest.raises(ParseError) as err:
+        parse_phase("(" * 3000 + "1" + ")" * 3000)
+    assert err.value.pos == MAX_NESTING and "nested too deeply" in str(err.value)
