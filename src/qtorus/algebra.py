@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from types import MappingProxyType
 from typing import Mapping, Union
 
@@ -91,7 +92,10 @@ class AlgebraDescriptor:
 
     def phase_exponent(self, a: MultiIndex, b: MultiIndex) -> int:
         """s-exponent picked up by delta^a * delta^b."""
-        return sum(m * a[i] * b[j] for i, j, m in self._entries)
+        total = 0
+        for i, j, m in self._entries:
+            total += m * a[i] * b[j]
+        return total
 
     def monomial_text(self, idx: MultiIndex) -> str:
         """Generator powers of delta^idx, e.g. "U^2 V"; empty for the unit."""
@@ -210,18 +214,19 @@ class AlgebraElement:
 
     def __mul__(self, other: "AlgebraElement | ScalarLike") -> "AlgebraElement":
         if isinstance(other, AlgebraElement):
-            self._require_same_algebra(other, "multiply")
-            phase_exponent = self.algebra.phase_exponent
+            algebra = self.algebra
+            if other.algebra is not algebra:
+                self._require_same_algebra(other, "multiply")
+            phase_exponent = algebra.phase_exponent
             out: dict[MultiIndex, PhaseScalar] = {}
             for a, ca in self._support.items():
+                times = ca._times
                 for b, cb in other._support.items():
-                    idx = tuple(x + y for x, y in zip(a, b))
-                    c = (ca * cb)._shift(phase_exponent(a, b))
+                    idx = tuple(map(add, a, b))
+                    c = times(cb, phase_exponent(a, b))
                     acc = out.get(idx)
                     out[idx] = c if acc is None else acc + c
-            return AlgebraElement._raw(
-                self.algebra, {i: c for i, c in out.items() if c}
-            )
+            return AlgebraElement._raw(algebra, {i: c for i, c in out.items() if c})
         if isinstance(other, (int, Fraction, GaussianRational, PhaseScalar)):
             return self.scale(other)
         return NotImplemented

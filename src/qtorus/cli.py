@@ -11,7 +11,8 @@ Expressions use the working notation of the library: generators juxtaposed
     qtorus eval --theta 0.1375 --algebra torus "q^(1/2) U + V^-1"
 
 Exit codes: 0 on success, 1 if a requested check fails, 2 on usage or parse
-errors.
+errors.  An expression that starts with '-' goes after '--', as in
+``qtorus normalize --algebra torus -- "-U"``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def parse_expression(algebra: AlgebraDescriptor, text: str) -> AlgebraElement:
     The grammar is the one of :func:`qtorus.phases.parse_phase`, extended by
     the generators of ``algebra``; a scalar result is lifted into the algebra.
     """
-    value = parse_tokens(tokenize(text, algebra.generator_names), algebra)
+    value = parse_tokens(tokenize(text, algebra.generator_names), len(text), algebra)
     return value if isinstance(value, AlgebraElement) else algebra.unit().scale(value)
 
 
@@ -189,7 +190,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (status 0) or a usage error (status 2)
+        return exc.code
     if args.format == "json-like":
         args.format = "json"
     try:

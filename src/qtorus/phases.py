@@ -304,23 +304,35 @@ class PhaseScalar:
     def __mul__(self, other: "PhaseScalar | ScalarLike") -> "PhaseScalar":
         if not isinstance(other, (PhaseScalar, int, Fraction, GaussianRational)):
             return NotImplemented
-        other = _as_phase(other)
-        mono = self.as_monomial()
-        if mono is not None:
-            e, c = mono
+        return self._times(_as_phase(other), 0)
+
+    __rmul__ = __mul__
+
+    def _times(self, other: "PhaseScalar", shift: int) -> "PhaseScalar":
+        """The product self * other * s**shift.
+
+        This is the one scalar product: ``__mul__`` is the case shift == 0,
+        and an element product asks for its phase-shifted coefficient in
+        this one call.
+        """
+        terms = self._terms
+        if len(terms) == 1:
+            ((e, c),) = terms.items()
+            e += shift
             if c is _GR_ONE or c == _GR_ONE:
-                return other._shift(e)
+                if e == 0:
+                    return other
+                return PhaseScalar._raw({f + e: d for f, d in other._terms.items()})
             return PhaseScalar._raw({e + f: c * d for f, d in other._terms.items()})
         out: dict[int, GaussianRational] = {}
-        for e, c in self._terms.items():
+        for e, c in terms.items():
+            e += shift
             for f, d in other._terms.items():
                 g = e + f
                 prod = c * d
                 acc = out.get(g)
                 out[g] = prod if acc is None else acc + prod
         return PhaseScalar._raw({e: c for e, c in out.items() if c})
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "PhaseScalar":
         if n < 0:
@@ -336,12 +348,6 @@ class PhaseScalar:
             raise ValueError("only single-term phase scalars are invertible")
         e, c = mono
         return PhaseScalar._raw({-e: c.inverse()})
-
-    def _shift(self, e: int) -> "PhaseScalar":
-        """Multiply by s**e (exponent shift)."""
-        if e == 0:
-            return self
-        return PhaseScalar._raw({f + e: c for f, c in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PhaseScalar):
@@ -478,10 +484,13 @@ class _Parser:
     and stay scalars until they meet a generator.  ``algebra`` (an
     AlgebraDescriptor, or None for scalars alone) supplies the generators
     and the unit into which a scalar is lifted when it is added to an element.
+    ``end``, the length of the text, is the position of an error at the end
+    of the input.
     """
 
-    def __init__(self, tokens: list[Token], algebra=None):
+    def __init__(self, tokens: list[Token], end: int, algebra=None):
         self.tokens = tokens
+        self.end = end
         self.algebra = algebra
         self.i = 0
         self.depth = 0
@@ -495,7 +504,7 @@ class _Parser:
         """Consume the ')' that must come next."""
         if not self._at(")"):
             i = self.i
-            pos = self.tokens[i][2] if i < len(self.tokens) else len(self.tokens)
+            pos = self.tokens[i][2] if i < len(self.tokens) else self.end
             raise ParseError("expected ')'", pos)
         self.i += 1
 
@@ -535,7 +544,7 @@ class _Parser:
 
     def factor(self):
         if self.i >= len(self.tokens):
-            raise ParseError("expected an expression", len(self.tokens))
+            raise ParseError("expected an expression", self.end)
         kind, value, pos = self.tokens[self.i]
         self.i += 1
         if kind == "num":
@@ -575,7 +584,7 @@ class _Parser:
             self.i += 1
         sign = self._sign()
         if self.i >= len(self.tokens):
-            raise ParseError("expected an exponent", len(self.tokens))
+            raise ParseError("expected an exponent", self.end)
         if self.tokens[self.i][0] != "num":
             raise ParseError("expected an exponent", self.tokens[self.i][2])
         scaled = sign * units * self.tokens[self.i][1]
@@ -589,10 +598,11 @@ class _Parser:
         return int(scaled)
 
 
-def parse_tokens(tokens: list[Token], algebra=None):
+def parse_tokens(tokens: list[Token], end: int, algebra=None):
     """Parse a whole token list: a PhaseScalar, or an element of ``algebra``
-    if the expression names one of its generators."""
-    parser = _Parser(tokens, algebra)
+    if the expression names one of its generators.  ``end`` is the length of
+    the text the tokens came from."""
+    parser = _Parser(tokens, end, algebra)
     value = parser.expr()
     if parser.i != len(tokens):
         raise ParseError("unexpected trailing input", tokens[parser.i][2])
@@ -601,4 +611,4 @@ def parse_tokens(tokens: list[Token], algebra=None):
 
 def parse_phase(text: str) -> PhaseScalar:
     """Parse the canonical scalar rendering back into a PhaseScalar."""
-    return parse_tokens(tokenize(text))
+    return parse_tokens(tokenize(text), len(text))

@@ -2,10 +2,12 @@
 
 This is an independent oracle for the cocycle-based product: a word in the
 generators is sorted into the canonical order U1 < V1 < U2 < V2 < U3 < V3 by
-adjacent swaps, each swap contributing the phase read off the relation table
-of the ambient algebra.  Nothing here touches the cocycle matrices, so
-agreement between :func:`normal_order` and ``AlgebraElement.__mul__`` is a
-genuine cross-check.
+a stable insertion sort that shifts each letter left past the later
+generators before it.  Each letter passed is one adjacent swap, and its phase
+is read from the dense swap rows of the ambient algebra, which are built
+from the relation rows (``RELATION_ROWS`` via ``SWAP_TABLES``) alone.
+Nothing here touches the cocycle matrices, so agreement between
+:func:`normal_order` and ``AlgebraElement.__mul__`` is a genuine cross-check.
 
 Every relation is a pure q-commutation g_i g_j = s**e g_j g_i, so swap phases
 compose multiplicatively and the result does not depend on the sorting
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .phases import PhaseScalar, phase_pow
-from .algebra import AlgebraDescriptor, MultiIndex
+from .algebra import ALGEBRAS, AlgebraDescriptor, MultiIndex
 
 __all__ = [
     "GeneratorSymbol",
@@ -130,6 +132,19 @@ SWAP_TABLES: dict[str, dict[tuple[int, int], int]] = {
 }
 
 
+def _swap_rows(table: dict[tuple[int, int], int], d: int) -> tuple[tuple[int, ...], ...]:
+    # dense form of one swap table: rows[a][b] == table[(a, b)] for a > b
+    return tuple(
+        tuple(table[(a, b)] if a > b else 0 for b in range(d)) for a in range(d)
+    )
+
+
+# Only the number of generators is read from each algebra, never its cocycle.
+_SWAP_ROWS: dict[str, tuple[tuple[int, ...], ...]] = {
+    name: _swap_rows(table, ALGEBRAS[name].d) for name, table in SWAP_TABLES.items()
+}
+
+
 def swap_exponent(algebra: AlgebraDescriptor, a: int, b: int) -> int:
     """s-exponent e with g_a g_b = s**e g_b g_a (antisymmetric in a, b)."""
     if a == b:
@@ -154,25 +169,39 @@ def normal_order_exponent(
 ) -> tuple[int, MultiIndex]:
     """Core routine on raw (position, power) pairs; returns (s-exponent, index).
 
-    Stable insertion sort: only strictly out-of-order adjacent letters are
-    swapped, and a swap of powers p, r across positions a > b contributes
-    e(a, b) * p * r to the accumulated exponent.  Inverses are negative
-    powers; like generators merge by adding powers at the end.
+    Stable insertion sort by shifting: each letter (b, r) moves left past
+    the letters (a, p) with a > b before it, which shift one place right.
+    Moving past one such letter is the adjacent swap g_a^p g_b^r ->
+    g_b^r g_a^p, which contributes ``e(a, b) * p * r``, read from the dense
+    swap rows of the relation table (``rows[a][b]``).  Equal positions never
+    swap, so the swaps and the exponent are those of adjacent-swap bubble
+    sort.  Inverses are negative powers; like generators merge by adding
+    their powers.
     """
-    table = SWAP_TABLES[algebra.name]
+    rows = _SWAP_ROWS[algebra.name]
     arr = list(seq)
     exponent = 0
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and arr[j - 1][0] > arr[j][0]:
-            a, p = arr[j - 1]
-            b, r = arr[j]
-            exponent += table[(a, b)] * p * r
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            j -= 1
     powers = [0] * algebra.d
-    for pos, power in arr:
-        powers[pos] += power
+    for i, letter in enumerate(arr):
+        b, r = letter
+        powers[b] += r
+        j = i
+        passed = 0
+        while j:
+            prev = arr[j - 1]
+            a = prev[0]
+            if a <= b:
+                break
+            passed += rows[a][b] * prev[1]
+            arr[j] = prev
+            j -= 1
+        if j != i:
+            arr[j] = letter
+            exponent += passed * r
+    # The sorted word starts with its smallest position, so one look finds a
+    # negative one; a position past the last generator failed at powers[b].
+    if arr and arr[0][0] < 0:
+        raise ValueError(f"generator position {arr[0][0]} out of range for {algebra.name!r}")
     return exponent, tuple(powers)
 
 

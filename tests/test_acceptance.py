@@ -37,6 +37,33 @@ from qtorus.suite import (
 
 SEED = 20260809
 
+# Trial counts of every check in the default suite at the default 200 trials;
+# none depends on the seed, so a faster suite cannot come from fewer trials.
+DEFAULT_SUITE_TRIALS = {
+    "torus-relation": 1,
+    "p2-relations": 6,
+    "p3-relations": 15,
+    "swap-table-consistency": 22,
+    "unit-law": 800,
+    "associativity": 800,
+    "subalgebra-embedding": 400,
+    "oracle-equivalence": 392250,
+    "confluence": 2000,
+    "p2-formula-vs-relations-discrepancy": 6562,
+    "q1-degeneration": 600,
+    "delta-homomorphism": 200,
+    "delta-id-homomorphism": 200,
+    "id-delta-homomorphism": 200,
+    "antipode-homomorphism": 200,
+    "circle-delta-homomorphism": 200,
+    "coassociativity": 249,
+    "counit-laws": 249,
+    "antipode-law": 249,
+    "counit-non-homomorphism": 1,
+    "mu-represents-multiplication": 625,
+    "derived-rules-oracle": 1361,
+}
+
 
 def _report(num: int, name: str, failures: list) -> None:
     status = "PASS" if not failures else "FAIL"
@@ -253,6 +280,9 @@ def test_criterion_10_cli_conformance(capsys):
         bad = [r["name"] for r in records if r["status"] != "pass"]
         if bad:
             failures.append(f"failing checks: {bad}")
+        trials = {r["name"]: r["trials"] for r in records}
+        if trials != DEFAULT_SUITE_TRIALS:
+            failures.append(f"trial counts {trials} differ from {DEFAULT_SUITE_TRIALS}")
     rng = random.Random(SEED)
     cfg = TrialConfig(seed=SEED)
     for algebra in ALGEBRAS.values():

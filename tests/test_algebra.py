@@ -233,3 +233,55 @@ def test_bilinear_exponent_helper_matches_descriptor():
     for a in itertools.product(range(-2, 3), repeat=2):
         for b in itertools.product(range(-2, 3), repeat=2):
             assert bilinear_exponent(TORUS.cocycle, a, b) == TORUS.phase_exponent(a, b)
+
+
+def _form(algebra, a, b):
+    """The cocycle form written out over the whole matrix."""
+    d, m = algebra.d, algebra.cocycle
+    return sum(m[i][j] * a[i] * b[j] for i in range(d) for j in range(d))
+
+
+def _product_by_definition(x, y):
+    """x * y term by term: ca * cb * s**phi(a, b) at index a + b, summed."""
+    algebra = x.algebra
+    total = algebra.zero()
+    for a, ca in x.support.items():
+        for b, cb in y.support.items():
+            idx = tuple(i + j for i, j in zip(a, b))
+            c = ca * cb * phase_pow(_form(algebra, a, b))
+            total = total + AlgebraElement(algebra, {idx: c})
+    return total
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# one-term coefficients (1 among them) and multi-term ones, so the product
+# runs every branch of the scalar product
+coefficients = st.one_of(
+    st.just(ONE),
+    st.integers(-4, 4).map(phase_pow),
+    st.dictionaries(
+        st.integers(-4, 4),
+        st.builds(GaussianRational, small_fractions, small_fractions),
+        min_size=1,
+        max_size=3,
+    ).map(PhaseScalar),
+)
+
+
+def coefficient_elements(algebra):
+    idx = st.tuples(*([st.integers(-2, 2)] * algebra.d))
+    return st.dictionaries(idx, coefficients, max_size=4).map(
+        lambda support: AlgebraElement(algebra, support)
+    )
+
+
+pairs_of_elements = st.sampled_from(list(ALGEBRAS.values())).flatmap(
+    lambda algebra: st.tuples(coefficient_elements(algebra), coefficient_elements(algebra))
+)
+
+
+@given(pairs_of_elements)
+@settings(max_examples=200, deadline=None)
+def test_product_matches_its_term_by_term_definition(pair):
+    x, y = pair
+    assert x * y == _product_by_definition(x, y)

@@ -127,6 +127,14 @@ def test_normalize_fuzz_exits_cleanly(name, text):
         assert out.strip() and not err
 
 
+def test_errors_at_the_end_report_the_text_length():
+    for text, message in (("q^(1/2) U +", "expected an expression (at position 11)"),
+                          ("(U V - 1", "expected ')' (at position 8)"),
+                          ("U^", "expected an exponent (at position 2)")):
+        code, out, err = _run_main(["normalize", "--algebra", "torus", text])
+        assert code == 2 and not out and message in err
+
+
 def test_deep_nesting_is_a_parse_error():
     code, out, err = _run_main(["normalize", "--algebra", "torus", "(" * 3000 + "U" + ")" * 3000])
     assert code == 2 and not out
@@ -266,6 +274,42 @@ def test_eval_rejects_non_finite_theta(capsys, theta):
 
 
 def test_usage_error_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["normalize", "--algebra", "nope", "U"])
-    assert exc.value.code == 2
+    code, out, err = _run_main(["normalize", "--algebra", "nope", "U"])
+    assert code == 2 and not out and "invalid choice" in err
+    for argv in (["check", "--trials", "x"], ["normalize", "--algebra", "torus", "-U"], []):
+        code, out, err = _run_main(argv)
+        assert code == 2 and not out and "usage:" in err
+
+
+def test_help_exits_0():
+    for argv in (["--help"], ["check", "-h"]):
+        code, out, err = _run_main(argv)
+        assert code == 0 and out.startswith("usage:") and not err
+
+
+def test_expression_starting_with_minus_goes_after_double_dash():
+    for text in ("-U", "-1 * U"):
+        assert _run_main(["normalize", "--algebra", "torus", "--", text]) == (0, "-1 * U\n", "")
+
+
+# Tokens for random command lines: every option of every subcommand, values
+# valid and invalid for them, expressions, and help and unknown flags.
+FLAG_TOKENS = ["--algebra", "torus", "p2", "circle", "nope", "--format", "json", "text",
+               "json-like", "xml", "--map", "delta", "epsilon", "mu", "antipode", "--suite",
+               "torus-relation", "p2-relations,p3-relations", "counit-non-homomorphism",
+               "bogus", "", "--seed", "--trials", "x", "0", "-1", "3", "--theta", "0.25",
+               "nan", "1e400", "--help", "-h", "--bogus", "--", "U V", "-U", "U1 V2",
+               "q^(1/2) U +", "(U V - 1", "1/0"]
+COMMANDS = ["normalize", "mul", "apply", "check", "eval"]
+
+
+@given(st.sampled_from(COMMANDS), st.lists(st.sampled_from(FLAG_TOKENS), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_random_flags_exit_cleanly(command, flags):
+    # a selection of cheap checks keeps each check run short
+    cheap = ["--suite", "torus-relation"] if command == "check" else []
+    code, out, err = _run_main([command, *cheap, *flags])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.strip() and not out

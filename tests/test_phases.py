@@ -286,6 +286,13 @@ def test_parse_errors_carry_positions():
         assert err.pos == 2
 
 
+def test_parse_errors_at_the_end_report_the_text_length():
+    for text in ("1 +", "1 + ", "(1 + q^(1)", "q^", "q^("):
+        with pytest.raises(ParseError) as err:
+            parse_phase(text)
+        assert err.value.pos == len(text)
+
+
 def test_parse_bounds_the_nesting_depth():
     deepest = "(" * MAX_NESTING + "2" + ")" * MAX_NESTING
     assert parse_phase(deepest) == PhaseScalar(2)

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtorus.phases import phase_pow
 from qtorus.algebra import ALGEBRAS, P2, P3, TORUS
@@ -26,6 +28,14 @@ def test_generator_symbol_rejects_zero_power():
 def test_word_validates_positions():
     with pytest.raises(ValueError):
         Word(TORUS, (GeneratorSymbol(5, 1),))
+
+
+def test_normal_order_rejects_positions_out_of_range():
+    for seq in ([(-1, 1)], [(1, 1), (-1, 1)], [(0, 2), (1, 1), (-2, 1)]):
+        with pytest.raises(ValueError, match="out of range"):
+            normal_order_exponent(TORUS, seq)
+    with pytest.raises(IndexError):
+        normal_order_exponent(TORUS, [(0, 1), (2, 1)])
 
 
 def test_relation_row_counts():
@@ -162,3 +172,36 @@ def test_powers_merge_and_cancel():
     u, v = TORUS.generator("U"), TORUS.generator("V")
     product = (u * u) * v * TORUS.basis((-2, 0)) * TORUS.basis((0, -1))
     assert product == phase * TORUS.unit()
+
+
+def _bubble_sort_exponent(algebra, seq):
+    """Normal ordering by literal adjacent swaps, with phases from swap_exponent."""
+    word = list(seq)
+    exponent = 0
+    swapped = True
+    while swapped:
+        swapped = False
+        for k in range(len(word) - 1):
+            (a, p), (b, r) = word[k], word[k + 1]
+            if a > b:
+                exponent += swap_exponent(algebra, a, b) * p * r
+                word[k], word[k + 1] = word[k + 1], word[k]
+                swapped = True
+    powers = [0] * algebra.d
+    for pos, power in word:
+        powers[pos] += power
+    return exponent, tuple(powers)
+
+
+def _words(algebra):
+    letter = st.tuples(st.integers(0, algebra.d - 1), st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    return st.tuples(st.just(algebra), st.lists(letter, max_size=12))
+
+
+@given(st.sampled_from(list(ALGEBRAS.values())).flatmap(_words))
+@settings(max_examples=300, deadline=None)
+def test_normal_order_matches_adjacent_swap_bubble_sort(case):
+    algebra, seq = case
+    before = list(seq)
+    assert normal_order_exponent(algebra, seq) == _bubble_sort_exponent(algebra, seq)
+    assert seq == before
