@@ -1,7 +1,13 @@
 """Structure maps between the torus and its deformed tensor powers.
 
-Each map is given by a rule on basis monomials and extended linearly; since
-elements have finite support the extension is a finite sum.  The maps:
+Every structure map sends a basis monomial to one monomial,
+
+    delta^a |-> s**P(a) * delta^(A a),
+
+with A an integer matrix and P an integer polynomial in a of degree at most
+two and without constant term (in s-exponent units, like the cocycles).  So
+a map is the integer data (A, P), extended linearly; since elements have
+finite support the extension is a finite sum.  The maps:
 
 * ``comult``          torus -> p2,  U |-> U1 U2, V |-> V1 V2 (an algebra map)
 * ``counit``          torus -> scalars,  U^k V^l |-> q^(k l / 2)
@@ -17,26 +23,18 @@ The lifted one-factor maps are linear but (apart from the comultiplication
 lifts) not algebra homomorphisms, because the product on p2 is twisted.
 The circle comultiplication is an algebra homomorphism out of the
 commutative convolution algebra; no counit or antipode fits it, so none is
-defined.
+defined.  It is also the one map whose P has a linear term.
 
 Maps are immutable and application is pure; everything is thread-safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Union
+from dataclasses import dataclass
+from operator import mul
 
-from .phases import ZERO, PhaseScalar, phase_pow
-from .algebra import (
-    CIRCLE,
-    P2,
-    P3,
-    TORUS,
-    AlgebraDescriptor,
-    AlgebraElement,
-    MultiIndex,
-)
+from .phases import ONE, ZERO, PhaseScalar
+from .algebra import CIRCLE, P2, P3, TORUS, AlgebraDescriptor, AlgebraElement
 
 __all__ = [
     "LinearMap",
@@ -57,27 +55,38 @@ __all__ = [
     "GENERATOR_IMAGES",
 ]
 
-BasisImage = Union[AlgebraElement, PhaseScalar]
-
 
 @dataclass(frozen=True)
 class LinearMap:
-    """A linear map defined by its values on basis monomials.
+    """The linear extension of delta^a |-> s**P(a) * delta^(A a).
 
-    ``target`` is None for scalar-valued maps.  Applying the map to an
-    element is the coefficient-weighted sum of the basis rule over the
-    support, so f(x + c*y) = f(x) + c*f(y) by construction.
+    ``matrix`` is A: one row of ``source.d`` integers per target generator.
+    A scalar-valued map has ``target`` None and no rows, and returns a
+    ``PhaseScalar``.  ``phase`` is the quadratic part of P as sparse entries
+    (i, j, m), each meaning m * a[i] * a[j]; ``linear`` is its linear part,
+    empty or one integer per source generator.  Applying the map is the
+    coefficient-weighted sum of the basis images over the support, so
+    f(x + c*y) = f(x) + c*f(y) by construction.
     """
 
     name: str
     source: AlgebraDescriptor
     target: AlgebraDescriptor | None
-    rule: Callable[[MultiIndex], BasisImage] = field(repr=False)
+    matrix: tuple[tuple[int, ...], ...]
+    phase: tuple[tuple[int, int, int], ...] = ()
+    linear: tuple[int, ...] = ()
 
-    def on_basis(self, idx: MultiIndex) -> BasisImage:
-        return self.rule(self.source.check_index(idx))
+    def __post_init__(self):
+        d = self.source.d
+        rows = 0 if self.target is None else self.target.d
+        if len(self.matrix) != rows or any(len(row) != d for row in self.matrix):
+            raise ValueError(f"matrix of map {self.name!r} must be {rows}x{d}")
+        if not all(0 <= i < d and 0 <= j < d for i, j, _ in self.phase):
+            raise ValueError(f"phase of map {self.name!r} names a position outside 0..{d - 1}")
+        if len(self.linear) not in (0, d):
+            raise ValueError(f"linear phase of map {self.name!r} must be empty or of length {d}")
 
-    def __call__(self, x: AlgebraElement) -> BasisImage:
+    def __call__(self, x: AlgebraElement) -> AlgebraElement | PhaseScalar:
         if not isinstance(x, AlgebraElement):
             raise TypeError(f"map {self.name!r} applies to algebra elements")
         if x.algebra != self.source:
@@ -85,108 +94,66 @@ class LinearMap:
                 f"map {self.name!r} expects elements of {self.source.name!r}, "
                 f"got {x.algebra.name!r}"
             )
-        if self.target is None:
-            total = ZERO
-            for idx, c in x.support.items():
-                total = total + c * self.rule(idx)
-            return total
+        matrix, phase, linear = self.matrix, self.phase, self.linear
+        shift = ONE._times  # shift(c, e) is c * s**e
         out = {}
-        for idx, c in x.support.items():
-            image = self.rule(idx)
-            for jdx, v in image.support.items():
-                acc = out.get(jdx)
-                cv = c * v
-                out[jdx] = cv if acc is None else acc + cv
-        return AlgebraElement._raw(
-            self.target, {i: c for i, c in out.items() if c}
-        )
+        for a, c in x.support.items():
+            e = sum(map(mul, linear, a))
+            for i, j, m in phase:
+                e += m * a[i] * a[j]
+            jdx = tuple([sum(map(mul, row, a)) for row in matrix])
+            c = shift(c, e)
+            acc = out.get(jdx)
+            out[jdx] = c if acc is None else acc + c
+        out = {i: c for i, c in out.items() if c}
+        if self.target is None:
+            return out.get((), ZERO)
+        return AlgebraElement._raw(self.target, out)
 
     def __repr__(self) -> str:
         tgt = self.target.name if self.target is not None else "scalar"
         return f"LinearMap({self.name!r}: {self.source.name} -> {tgt})"
 
 
-def _comult_rule(idx: MultiIndex) -> AlgebraElement:
-    k, l = idx
-    return phase_pow(-k * l) * P2.basis((k, l, k, l))
-
-
-def _counit_rule(idx: MultiIndex) -> PhaseScalar:
-    k, l = idx
-    return phase_pow(k * l)
-
-
-def _antipode_rule(idx: MultiIndex) -> AlgebraElement:
-    k, l = idx
-    # U^-k V^-l is already normal-ordered, so no phase arises
-    return TORUS.basis((-k, -l))
-
-
-def _mult_rule(idx: MultiIndex) -> AlgebraElement:
-    k, l, m, n = idx
-    # U^k V^l U^m V^n = q^(-l m) U^(k+m) V^(l+n)
-    return phase_pow(-2 * l * m) * TORUS.basis((k + m, l + n))
-
-
-def _lift_left_comult_rule(idx: MultiIndex) -> AlgebraElement:
-    k, l, m, n = idx
-    return phase_pow(-k * l) * P3.basis((k, l, k, l, m, n))
-
-
-def _lift_right_comult_rule(idx: MultiIndex) -> AlgebraElement:
-    k, l, m, n = idx
-    return phase_pow(-m * n) * P3.basis((k, l, m, n, m, n))
-
-
-def _lift_left_counit_rule(idx: MultiIndex) -> AlgebraElement:
-    k, l, m, n = idx
-    return phase_pow(k * l) * TORUS.basis((m, n))
-
-
-def _lift_right_counit_rule(idx: MultiIndex) -> AlgebraElement:
-    k, l, m, n = idx
-    return phase_pow(m * n) * TORUS.basis((k, l))
-
-
-def _lift_left_antipode_rule(idx: MultiIndex) -> AlgebraElement:
-    k, l, m, n = idx
-    return P2.basis((-k, -l, m, n))
-
-
-def _lift_right_antipode_rule(idx: MultiIndex) -> AlgebraElement:
-    k, l, m, n = idx
-    return P2.basis((k, l, -m, -n))
-
-
-def _circle_comult_rule(idx: MultiIndex) -> AlgebraElement:
-    (n,) = idx
-    # (U V)^n = q^(-n(n-1)/2) U^n V^n, valid for every integer n
-    return phase_pow(-n * (n - 1)) * TORUS.basis((n, n))
-
-
-def _embed_left_rule(idx: MultiIndex) -> AlgebraElement:
-    k, l = idx
-    return P2.basis((k, l, 0, 0))
-
-
-def _embed_right_rule(idx: MultiIndex) -> AlgebraElement:
-    k, l = idx
-    return P2.basis((0, 0, k, l))
-
-
-comult = LinearMap("delta", TORUS, P2, _comult_rule)
-counit = LinearMap("epsilon", TORUS, None, _counit_rule)
-antipode = LinearMap("S", TORUS, TORUS, _antipode_rule)
-mult_map = LinearMap("mu", P2, TORUS, _mult_rule)
-lift_left_comult = LinearMap("delta-id", P2, P3, _lift_left_comult_rule)
-lift_right_comult = LinearMap("id-delta", P2, P3, _lift_right_comult_rule)
-lift_left_counit = LinearMap("eps-id", P2, TORUS, _lift_left_counit_rule)
-lift_right_counit = LinearMap("id-eps", P2, TORUS, _lift_right_counit_rule)
-lift_left_antipode = LinearMap("S-id", P2, P2, _lift_left_antipode_rule)
-lift_right_antipode = LinearMap("id-S", P2, P2, _lift_right_antipode_rule)
-circle_comult = LinearMap("circle-delta", CIRCLE, TORUS, _circle_comult_rule)
-embed_left = LinearMap("embed-left", TORUS, P2, _embed_left_rule)
-embed_right = LinearMap("embed-right", TORUS, P2, _embed_right_rule)
+# The maps as data.  Source indices are written (k, l) on the torus,
+# (k, l, m, n) on p2 and (n,) on the circle; each comment gives the image
+# s^P delta^(A a).
+comult = LinearMap(  # s^(-kl) (k, l, k, l)
+    "delta", TORUS, P2, ((1, 0), (0, 1), (1, 0), (0, 1)), phase=((0, 1, -1),)
+)
+counit = LinearMap("epsilon", TORUS, None, (), phase=((0, 1, 1),))  # s^(kl)
+# U^-k V^-l is already normal-ordered, so no phase arises
+antipode = LinearMap("S", TORUS, TORUS, ((-1, 0), (0, -1)))  # (-k, -l)
+# U^k V^l U^m V^n = q^(-l m) U^(k+m) V^(l+n)
+mult_map = LinearMap("mu", P2, TORUS, ((1, 0, 1, 0), (0, 1, 0, 1)), phase=((1, 2, -2),))
+lift_left_comult = LinearMap(  # s^(-kl) (k, l, k, l, m, n)
+    "delta-id", P2, P3,
+    ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    phase=((0, 1, -1),),
+)
+lift_right_comult = LinearMap(  # s^(-mn) (k, l, m, n, m, n)
+    "id-delta", P2, P3,
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1)),
+    phase=((2, 3, -1),),
+)
+lift_left_counit = LinearMap(  # s^(kl) (m, n)
+    "eps-id", P2, TORUS, ((0, 0, 1, 0), (0, 0, 0, 1)), phase=((0, 1, 1),)
+)
+lift_right_counit = LinearMap(  # s^(mn) (k, l)
+    "id-eps", P2, TORUS, ((1, 0, 0, 0), (0, 1, 0, 0)), phase=((2, 3, 1),)
+)
+lift_left_antipode = LinearMap(  # (-k, -l, m, n)
+    "S-id", P2, P2, ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+)
+lift_right_antipode = LinearMap(  # (k, l, -m, -n)
+    "id-S", P2, P2, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
+)
+# (U V)^n = q^(-n(n-1)/2) U^n V^n, valid for every integer n
+circle_comult = LinearMap(  # s^(-n^2 + n) (n, n)
+    "circle-delta", CIRCLE, TORUS, ((1,), (1,)), phase=((0, 0, -1),), linear=(1,)
+)
+embed_left = LinearMap("embed-left", TORUS, P2, ((1, 0), (0, 1), (0, 0), (0, 0)))
+embed_right = LinearMap("embed-right", TORUS, P2, ((0, 0), (0, 0), (1, 0), (0, 1)))
 
 MAPS: dict[str, LinearMap] = {
     m.name: m
@@ -205,10 +172,10 @@ MAPS: dict[str, LinearMap] = {
     )
 }
 
-# Defining generator images of the maps whose closed-form basis rules are
-# derived rather than displayed; each entry maps a source generator to a word
+# Defining generator images of the maps whose data (A, P) above are derived
+# rather than displayed; each entry maps a source generator to a word
 # (name, power)... in the target.  The suite replays these images through the
-# rewriting oracle to certify the closed forms above.
+# rewriting oracle to certify that data.
 GENERATOR_IMAGES: dict[str, dict[str, tuple[tuple[str, int], ...]]] = {
     "delta": {"U": (("U1", 1), ("U2", 1)), "V": (("V1", 1), ("V2", 1))},
     "S": {"U": (("U", -1),), "V": (("V", -1),)},

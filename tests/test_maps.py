@@ -1,15 +1,16 @@
-"""Structure maps: basis rules, linearity, homomorphism behavior, laws."""
+"""Structure maps: map data, linearity, homomorphism behavior, laws."""
 
 import itertools
 import random
 
 import pytest
 
-from qtorus.phases import ONE, PhaseScalar, phase_pow
+from qtorus.phases import ONE, ZERO, PhaseScalar, phase_pow
 from qtorus.algebra import CIRCLE, P2, P3, TORUS
 from qtorus.maps import (
     GENERATOR_IMAGES,
     MAPS,
+    LinearMap,
     antipode,
     circle_comult,
     comult,
@@ -24,7 +25,86 @@ from qtorus.maps import (
     lift_right_counit,
     mult_map,
 )
-from qtorus.suite import TrialConfig, random_element
+from qtorus.suite import COEFF_POOL, TrialConfig, random_element
+
+# The maps written out as rules on basis monomials: the image of delta^idx
+# for idx = (k, l) on the torus, (k, l, m, n) on p2 and (n,) on the circle.
+# Each map's data (A, P) must reproduce its rule exactly.
+REFERENCE_RULES = {
+    "delta": lambda k, l: phase_pow(-k * l) * P2.basis((k, l, k, l)),
+    "epsilon": lambda k, l: phase_pow(k * l),
+    "S": lambda k, l: TORUS.basis((-k, -l)),
+    "mu": lambda k, l, m, n: phase_pow(-2 * l * m) * TORUS.basis((k + m, l + n)),
+    "delta-id": lambda k, l, m, n: phase_pow(-k * l) * P3.basis((k, l, k, l, m, n)),
+    "id-delta": lambda k, l, m, n: phase_pow(-m * n) * P3.basis((k, l, m, n, m, n)),
+    "eps-id": lambda k, l, m, n: phase_pow(k * l) * TORUS.basis((m, n)),
+    "id-eps": lambda k, l, m, n: phase_pow(m * n) * TORUS.basis((k, l)),
+    "S-id": lambda k, l, m, n: P2.basis((-k, -l, m, n)),
+    "id-S": lambda k, l, m, n: P2.basis((k, l, -m, -n)),
+    "circle-delta": lambda n: phase_pow(-n * (n - 1)) * TORUS.basis((n, n)),
+    "embed-left": lambda k, l: P2.basis((k, l, 0, 0)),
+    "embed-right": lambda k, l: P2.basis((0, 0, k, l)),
+}
+ALL_MAPS = {**MAPS, embed_left.name: embed_left, embed_right.name: embed_right}
+BASIS_BOXES = {
+    "torus": list(itertools.product(range(-3, 4), repeat=2)),
+    "circle": [(n,) for n in range(-6, 7)],
+    "p2": list(itertools.product(range(-2, 3), repeat=4)),
+}
+
+
+def _multi_power_element(algebra, rng):
+    """A random element whose coefficients each have two or three s-powers."""
+    support = {}
+    for _ in range(rng.randint(1, 6)):
+        idx = tuple(rng.randint(-3, 3) for _ in range(algebra.d))
+        powers = rng.sample(range(-4, 5), rng.randint(2, 3))
+        support[idx] = PhaseScalar({e: rng.choice(COEFF_POOL) for e in powers})
+    return algebra.element(support)
+
+
+def _reference_apply(rule, x):
+    terms = [c * rule(*idx) for idx, c in x.support.items()]
+    return sum(terms[1:], terms[0])
+
+
+def test_reference_rules_cover_every_map():
+    assert set(REFERENCE_RULES) == set(ALL_MAPS)
+    assert len(ALL_MAPS) == 13
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_RULES))
+def test_map_data_matches_reference_rule(name):
+    fmap, rule = ALL_MAPS[name], REFERENCE_RULES[name]
+    for idx in BASIS_BOXES[fmap.source.name]:
+        assert fmap(fmap.source.basis(idx)) == rule(*idx), idx
+    rng = random.Random(name)
+    for _ in range(40):
+        x = _multi_power_element(fmap.source, rng)
+        assert fmap(x) == _reference_apply(rule, x), x.render()
+
+
+def test_map_sums_can_cancel():
+    # U V - q^(1/2) and U1 - U2 are nonzero, but the terms of their images cancel
+    image = counit(TORUS.basis((1, 1)) - phase_pow(1) * TORUS.unit())
+    assert isinstance(image, PhaseScalar)
+    assert image == ZERO and image.render() == "0"
+    collapsed = mult_map(P2.generator("U1") - P2.generator("U2"))
+    assert collapsed == TORUS.zero() and collapsed.render() == "0"
+
+
+def test_map_data_shapes_are_validated():
+    with pytest.raises(ValueError, match="must be 4x2"):
+        LinearMap("bad", TORUS, P2, ((1, 0), (0, 1)))  # too few rows
+    with pytest.raises(ValueError, match="must be 0x2"):
+        LinearMap("bad", TORUS, None, ((1, 1),))  # a scalar map has no rows
+    with pytest.raises(ValueError, match="must be 2x2"):
+        LinearMap("bad", TORUS, TORUS, ((1, 0), (0, 1, 0)))  # a row too long
+    for entry in ((0, 2, 1), (-1, 0, 1)):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            LinearMap("bad", TORUS, TORUS, ((1, 0), (0, 1)), phase=(entry,))
+    with pytest.raises(ValueError, match="empty or of length 1"):
+        LinearMap("bad", CIRCLE, TORUS, ((1,), (1,)), linear=(1, 1))
 
 
 def test_comult_examples():
@@ -92,11 +172,7 @@ def test_map_application_is_linear():
         x = random_element(fmap.source, cfg, rng)
         y = random_element(fmap.source, cfg, rng)
         c = phase_pow(-3) * PhaseScalar(2)
-        left = fmap(x + c * y)
-        if fmap.target is None:
-            assert left == fmap(x) + c * fmap(y)
-        else:
-            assert left == fmap(x) + c * fmap(y)
+        assert fmap(x + c * y) == fmap(x) + c * fmap(y)
 
 
 def test_map_rejects_wrong_source():

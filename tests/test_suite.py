@@ -85,6 +85,33 @@ def test_unknown_check_name_rejected():
         run_suite(TrialConfig(), ["torus-relation", "no-such-check"])
 
 
+def test_default_selection_order_is_pinned():
+    assert DEFAULT_SELECTION == (
+        "torus-relation",
+        "p2-relations",
+        "p3-relations",
+        "swap-table-consistency",
+        "unit-law",
+        "associativity",
+        "subalgebra-embedding",
+        "oracle-equivalence",
+        "confluence",
+        "p2-formula-vs-relations-discrepancy",
+        "q1-degeneration",
+        "delta-homomorphism",
+        "delta-id-homomorphism",
+        "id-delta-homomorphism",
+        "antipode-homomorphism",
+        "circle-delta-homomorphism",
+        "coassociativity",
+        "counit-laws",
+        "antipode-law",
+        "counit-non-homomorphism",
+        "mu-represents-multiplication",
+        "derived-rules-oracle",
+    )
+
+
 def test_default_selection_is_complete():
     assert DEFAULT_SELECTION == tuple(CHECKS)
     for prop, names in PROPERTY_COVERAGE.items():
