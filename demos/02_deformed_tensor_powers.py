@@ -16,8 +16,9 @@ variant of the four-index product formula contradicts the relation table.
 
 import itertools
 
-from qtorus import P2, P3, TORUS, bilinear_exponent, phase_pow
+from qtorus import P2, P3, TORUS, phase_pow
 from qtorus.rewrite import RELATION_ROWS, normal_order_exponent
+from qtorus.suite import P2_FORMULA_VARIANT
 
 print("== the six relations of the square ==")
 for i, j, e in RELATION_ROWS["p2"]:
@@ -48,15 +49,10 @@ print("== the formula trap ==")
 # Writing the four-index product with the cross term q^(-m1 n2) looks
 # symmetric but is wrong: on (U2, V2) it would produce q^(-1), while the
 # relation U2 V2 = q V2 U2 forces coefficient 1 (U2 V2 is already
-# normal-ordered).  The consistent cross term is q^(-m2 n1).
-variant = (
-    (0, 0, 0, 0),
-    (-2, 0, 0, 0),
-    (0, -1, 0, -2),
-    (1, 0, 0, 0),
-)
+# normal-ordered).  The consistent cross term is q^(-m2 n1).  The suite
+# keeps the variant as an algebra descriptor with its own cocycle matrix.
 u2, v2 = (0, 0, 1, 0), (0, 0, 0, 1)
-print("variant exponent on (U2, V2)    : s^%d  (q^-1)" % bilinear_exponent(variant, u2, v2))
+print("variant exponent on (U2, V2)    : s^%d  (q^-1)" % P2_FORMULA_VARIANT.phase_exponent(u2, v2))
 print("relation table on (U2, V2)      : s^%d  (coefficient 1)" % normal_order_exponent(P2, [(2, 1), (3, 1)])[0])
 print("implemented product U2 * V2     :", P2.generator("U2") * P2.generator("V2"))
 

@@ -25,7 +25,6 @@ from .algebra import (
     AlgebraDescriptor,
     AlgebraElement,
     MultiIndex,
-    bilinear_exponent,
 )
 from .rewrite import (
     RELATION_ROWS,
@@ -81,7 +80,6 @@ __all__ = [
     "AlgebraDescriptor",
     "AlgebraElement",
     "MultiIndex",
-    "bilinear_exponent",
     "RELATION_ROWS",
     "GeneratorSymbol",
     "Word",

@@ -40,7 +40,6 @@ __all__ = [
     "MultiIndex",
     "AlgebraDescriptor",
     "AlgebraElement",
-    "bilinear_exponent",
     "CIRCLE",
     "TORUS",
     "P2",
@@ -50,18 +49,6 @@ __all__ = [
 
 MultiIndex = tuple[int, ...]
 ScalarLike = Union[int, Fraction, GaussianRational, PhaseScalar]
-
-
-def bilinear_exponent(matrix: tuple[tuple[int, ...], ...], a: MultiIndex, b: MultiIndex) -> int:
-    """The bilinear form sum_ij M[i][j] * a[i] * b[j] in s-exponent units."""
-    total = 0
-    for i, row in enumerate(matrix):
-        ai = a[i]
-        if ai:
-            for j, m in enumerate(row):
-                if m:
-                    total += m * ai * b[j]
-    return total
 
 
 @dataclass(frozen=True)

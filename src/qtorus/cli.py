@@ -106,6 +106,8 @@ def _cmd_check(args) -> int:
     selection = None
     if args.suite:
         selection = [name for chunk in args.suite for name in chunk.split(",") if name]
+        if not selection:
+            raise ValueError("no check selected")
     reports = run_suite(cfg, selection)
     if args.format == "text":
         print(render_reports_text(reports))

@@ -373,7 +373,8 @@ class PhaseScalar:
 
     def eval_numeric(self, theta: float) -> complex:
         """Evaluate at s = exp(i*pi*theta), i.e. q = exp(2*pi*i*theta)."""
-        base = cmath.exp(1j * math.pi * theta)
+        # s has period 2 in theta; the reduction is exact and keeps pi*theta finite
+        base = cmath.exp(1j * math.pi * math.fmod(theta, 2.0))
         return sum((c.to_complex() * base**e for e, c in self._terms.items()), 0j)
 
     def render(self) -> str:

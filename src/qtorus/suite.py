@@ -6,6 +6,11 @@ check compares its two sides exactly (canonical forms) and, as a guard on the
 numeric evaluation path, also compares them in double precision at
 theta = 0, 1/3 and 0.1375 (a root-of-unity regime, and a generic value).
 
+Sixteen checks share three loops: ``_rows`` compares relation rows,
+``_sampled`` applies a law to k random elements per trial, and ``_on_torus``
+applies one to the basis box [-3,3]^2 and then to random torus elements.  The
+registry ``CHECKS`` says which check runs where; the other six are written out.
+
 Checks draw their randomness from a generator seeded by (seed, check name),
 so reports are byte-identical for a fixed (seed, selection) and independent
 of which other checks run.  Checks are pure and independent; they may run
@@ -30,7 +35,6 @@ from .algebra import (
     AlgebraDescriptor,
     AlgebraElement,
     MultiIndex,
-    bilinear_exponent,
 )
 from .rewrite import RELATION_ROWS, normal_order_exponent, swap_exponent
 from .maps import (
@@ -151,6 +155,11 @@ def random_element(
 
 # --- comparison helpers -------------------------------------------------
 
+def _box(bound: int, d: int) -> list[MultiIndex]:
+    """Every index in [-bound, bound]^d, in lexicographic order."""
+    return list(itertools.product(range(-bound, bound + 1), repeat=d))
+
+
 def _numeric_gap_elements(lhs: AlgebraElement, rhs: AlgebraElement, theta: float) -> float:
     lv = lhs.eval_numeric(theta)
     rv = rhs.eval_numeric(theta)
@@ -171,120 +180,142 @@ def _mismatch_elements(lhs: AlgebraElement, rhs: AlgebraElement) -> str | None:
     return None
 
 
-# --- check registry -----------------------------------------------------
+# --- the three shared loops ---------------------------------------------
 
-CheckFunction = Callable[[TrialConfig, random.Random], CheckReport]
-CHECKS: dict[str, CheckFunction] = {}
-
-
-def _register(name: str) -> Callable[[CheckFunction], CheckFunction]:
-    def deco(fn: CheckFunction) -> CheckFunction:
-        CHECKS[name] = fn
-        return fn
-
-    return deco
-
-
-def _relation_report(
-    name: str, algebra: AlgebraDescriptor, cfg: TrialConfig, rng: random.Random
+def _rows(
+    name: str,
+    algebras: tuple[AlgebraDescriptor, ...],
+    label: str,
+    rewriting: bool,
+    cfg: TrialConfig,
+    rng: random.Random,
 ) -> CheckReport:
-    """Check every relation row of an algebra as an exact element equality."""
-    failures = []
-    rows = RELATION_ROWS[algebra.name]
-    names = algebra.generator_names
-    for i, j, e in rows:
-        gi, gj = algebra.generator(names[i]), algebra.generator(names[j])
-        lhs = gi * gj
-        rhs = phase_pow(e) * (gj * gi)
-        msg = _mismatch_elements(lhs, rhs)
-        if msg:
-            failures.append(
-                f"{names[i]} {names[j]} = q^({e}/2) {names[j]} {names[i]}: {msg}"
-            )
-    return CheckReport(name, (algebra.name,), len(rows), tuple(failures))
+    """Each relation row g_i g_j = s^e g_j g_i as an exact element equality.
 
-
-CHECKS.update(
-    (name, partial(_relation_report, name, algebra))
-    for name, algebra in (("torus-relation", TORUS), ("p2-relations", P2), ("p3-relations", P3))
-)
-
-
-@_register("swap-table-consistency")
-def _check_swap_table(cfg: TrialConfig, rng: random.Random) -> CheckReport:
-    # every relation row, evaluated both through the cocycle product and
-    # through the rewriting tables, must name the same element
+    With ``rewriting``, normal ordering must also move g_j past g_i at the
+    cost s^-e.  A failure is ``label`` (a format over alg, a, b, e) and a message.
+    """
     failures = []
     trials = 0
-    for algebra in (TORUS, P2, P3):
+    for algebra in algebras:
         names = algebra.generator_names
         for i, j, e in RELATION_ROWS[algebra.name]:
             trials += 1
             gi, gj = algebra.generator(names[i]), algebra.generator(names[j])
-            lhs = gi * gj
-            rhs = phase_pow(e) * (gj * gi)
-            msg = _mismatch_elements(lhs, rhs)
-            el, il = normal_order_exponent(algebra, [(i, 1), (j, 1)])
-            er, ir = normal_order_exponent(algebra, [(j, 1), (i, 1)])
-            if il != ir or el != e + er:
-                msg = msg or (
-                    f"rewriting phases disagree: s^{el} vs s^({e}+{er})"
-                )
+            msg = _mismatch_elements(gi * gj, phase_pow(e) * (gj * gi))
+            if rewriting and not msg:
+                el, il = normal_order_exponent(algebra, [(i, 1), (j, 1)])
+                er, ir = normal_order_exponent(algebra, [(j, 1), (i, 1)])
+                if il != ir or el != e + er:
+                    msg = f"rewriting phases disagree: s^{el} vs s^({e}+{er})"
             if msg:
-                failures.append(f"{algebra.name} {names[i]} {names[j]}: {msg}")
-    return CheckReport("swap-table-consistency", ("torus", "p2", "p3"), trials, tuple(failures))
+                failures.append(label.format(alg=algebra.name, a=names[i], b=names[j], e=e) + msg)
+    return CheckReport(name, tuple(a.name for a in algebras), trials, tuple(failures))
 
 
-@_register("unit-law")
-def _check_unit_law(cfg: TrialConfig, rng: random.Random) -> CheckReport:
+def _sampled(
+    name: str,
+    algebras: tuple[str, ...],
+    cases: Sequence[tuple[str, AlgebraDescriptor, object]],
+    arity: int,
+    law: Callable[..., str | None],
+    cfg: TrialConfig,
+    rng: random.Random,
+    template: str = "{inputs}: {msg}",
+) -> CheckReport:
+    """``cfg.trials`` trials for each case (label, source, subject).
+
+    A trial draws ``arity`` elements x, y, z of the source and fails with
+    ``label + template`` when ``law(subject, x, ...)`` returns a message.
+    """
     failures = []
-    trials = 0
-    for algebra in ALGEBRAS.values():
-        one = algebra.unit()
+    for label, source, subject in cases:
         for _ in range(cfg.trials):
-            trials += 1
-            x = random_element(algebra, cfg, rng)
-            if (msg := _mismatch_elements(one * x, x)) or (
-                msg := _mismatch_elements(x * one, x)
-            ):
-                failures.append(f"{algebra.name}: x={x.render()}: {msg}")
-    return CheckReport("unit-law", tuple(ALGEBRAS), trials, tuple(failures))
-
-
-@_register("associativity")
-def _check_associativity(cfg: TrialConfig, rng: random.Random) -> CheckReport:
-    failures = []
-    trials = 0
-    for algebra in ALGEBRAS.values():
-        for _ in range(cfg.trials):
-            trials += 1
-            x = random_element(algebra, cfg, rng)
-            y = random_element(algebra, cfg, rng)
-            z = random_element(algebra, cfg, rng)
-            msg = _mismatch_elements((x * y) * z, x * (y * z))
+            xs = [random_element(source, cfg, rng) for _ in range(arity)]
+            msg = law(subject, *xs)
             if msg:
-                failures.append(
-                    f"{algebra.name}: x={x.render()}, y={y.render()}, z={z.render()}: {msg}"
-                )
-    return CheckReport("associativity", tuple(ALGEBRAS), trials, tuple(failures))
+                inputs = ", ".join(f"{v}={x.render()}" for v, x in zip("xyz", xs))
+                failures.append(label + template.format(inputs=inputs, msg=msg))
+    return CheckReport(name, algebras, len(cases) * cfg.trials, tuple(failures))
 
 
-@_register("subalgebra-embedding")
-def _check_subalgebra_embedding(cfg: TrialConfig, rng: random.Random) -> CheckReport:
+def _on_torus(
+    name: str,
+    algebras: tuple[str, ...],
+    law: Callable[[AlgebraElement, MultiIndex | None], str | None],
+    basis_label: bool,
+    cfg: TrialConfig,
+    rng: random.Random,
+) -> CheckReport:
+    """A law on each basis monomial of [-3,3]^2, then on random torus elements.
+
+    The law gets a basis monomial's index (None for a random element), so
+    closed forms that hold only on the basis stay inside it.  With
+    ``basis_label`` a basis failure names its index, otherwise its rendering.
+    """
     failures = []
-    trials = 0
-    for embed in (embed_left, embed_right):
-        for _ in range(cfg.trials):
-            trials += 1
-            x = random_element(TORUS, cfg, rng)
-            y = random_element(TORUS, cfg, rng)
-            msg = _mismatch_elements(embed(x * y), embed(x) * embed(y))
-            if msg:
-                failures.append(
-                    f"{embed.name}: x={x.render()}, y={y.render()}: {msg}"
-                )
-    return CheckReport("subalgebra-embedding", ("torus", "p2"), trials, tuple(failures))
+    inputs = [(TORUS.basis(idx), idx) for idx in _box(3, 2)]
+    inputs += [(random_element(TORUS, cfg, rng), None) for _ in range(cfg.trials)]
+    for x, idx in inputs:
+        msg = law(x, idx)
+        if msg:
+            label = f"basis ({idx[0]},{idx[1]})" if basis_label and idx else f"x={x.render()}"
+            failures.append(f"{label}: {msg}")
+    return CheckReport(name, algebras, len(inputs), tuple(failures))
 
+
+def _unit_law(algebra: AlgebraDescriptor, x: AlgebraElement) -> str | None:
+    one = algebra.unit()
+    return _mismatch_elements(one * x, x) or _mismatch_elements(x * one, x)
+
+
+def _associativity_law(_, x: AlgebraElement, y: AlgebraElement, z: AlgebraElement) -> str | None:
+    return _mismatch_elements((x * y) * z, x * (y * z))
+
+
+def _homomorphism_law(fmap: LinearMap, x: AlgebraElement, y: AlgebraElement) -> str | None:
+    return _mismatch_elements(fmap(x * y), fmap(x) * fmap(y))
+
+
+def _commutator_gap_at_q1(_, x: AlgebraElement, y: AlgebraElement) -> str | None:
+    """At theta = 0 (q = 1) every product commutes numerically."""
+    gap = _numeric_gap_elements(x * y, y * x, 0.0)
+    return f"commutator gap {gap:.3e} at theta=0" if gap > NUMERIC_TOL else None
+
+
+def _coassociativity_law(x: AlgebraElement, idx: MultiIndex | None) -> str | None:
+    """Both one-sided comultiplication lifts of the comultiplication agree."""
+    left = lift_left_comult(comult(x))
+    msg = _mismatch_elements(left, lift_right_comult(comult(x)))
+    if msg or idx is None:
+        return msg
+    k, l = idx
+    return _mismatch_elements(left, phase_pow(-2 * k * l) * P3.basis((k, l, k, l, k, l)))
+
+
+def _counit_law(x: AlgebraElement, idx: MultiIndex | None) -> str | None:
+    dx = comult(x)
+    msg = _mismatch_elements(lift_left_counit(dx), x)
+    return msg or _mismatch_elements(lift_right_counit(dx), x)
+
+
+def _antipode_law(x: AlgebraElement, idx: MultiIndex | None) -> str | None:
+    """Collapsing either one-sided inversion of the comultiplication gives the counit."""
+    one = TORUS.unit()
+    mid = lift_left_antipode(comult(x))
+    msg = None
+    if idx is not None:
+        # intermediate chain on basis monomials: s^(-kl) delta^(k,l,k,l)
+        # |-> s^(-kl) delta^(-k,-l,k,l) |-> s^(-kl) s^(2kl) = s^(kl) times the unit
+        k, l = idx
+        msg = _mismatch_elements(mid, phase_pow(-k * l) * P2.basis((-k, -l, k, l)))
+        msg = msg or _mismatch_elements(mult_map(mid), phase_pow(k * l) * one)
+    target = counit(x) * one
+    msg = msg or _mismatch_elements(mult_map(mid), target)
+    return msg or _mismatch_elements(mult_map(lift_right_antipode(comult(x))), target)
+
+
+# --- the six bespoke checks ---------------------------------------------
 
 def _oracle_pair_failure(
     algebra: AlgebraDescriptor,
@@ -314,13 +345,12 @@ def _oracle_pair_failure(
     return None
 
 
-@_register("oracle-equivalence")
 def _check_oracle_equivalence(cfg: TrialConfig, rng: random.Random) -> CheckReport:
     """Cocycle product vs normal ordering: exhaustive for d=2,4, random for d=6."""
     failures = []
     trials = 0
     for algebra in (TORUS, P2):
-        idxs = [tuple(t) for t in itertools.product(range(-2, 3), repeat=algebra.d)]
+        idxs = _box(2, algebra.d)
         seqs = {a: tuple((p, k) for p, k in enumerate(a) if k) for a in idxs}
         basis = {a: algebra.basis(a) for a in idxs}
         for a in idxs:
@@ -348,7 +378,6 @@ def _check_oracle_equivalence(cfg: TrialConfig, rng: random.Random) -> CheckRepo
     return CheckReport("oracle-equivalence", ("torus", "p2", "p3"), trials, tuple(failures))
 
 
-@_register("confluence")
 def _check_confluence(cfg: TrialConfig, rng: random.Random) -> CheckReport:
     """Normal ordering is invariant under phase-tracked reshuffling."""
     failures = []
@@ -384,15 +413,13 @@ def _check_confluence(cfg: TrialConfig, rng: random.Random) -> CheckReport:
 # factor's U2-exponent to the second factor's V2-exponent (q^(-m1 n2), in
 # s-units -2*a[2]*b[3]).  It contradicts the relation U2 V2 = q V2 U2; the
 # implemented cocycle uses q^(-m2 n1) instead.
-P2_FORMULA_VARIANT: tuple[tuple[int, ...], ...] = (
-    (0, 0, 0, 0),
-    (-2, 0, 0, 0),
-    (0, -1, 0, -2),
-    (1, 0, 0, 0),
+P2_FORMULA_VARIANT = AlgebraDescriptor(
+    "p2-formula-variant",
+    P2.generator_names,
+    ((0, 0, 0, 0), (-2, 0, 0, 0), (0, -1, 0, -2), (1, 0, 0, 0)),
 )
 
 
-@_register("p2-formula-vs-relations-discrepancy")
 def _check_p2_discrepancy(cfg: TrialConfig, rng: random.Random) -> CheckReport:
     """The variant exponent disagrees with the relations exactly where expected.
 
@@ -404,7 +431,7 @@ def _check_p2_discrepancy(cfg: TrialConfig, rng: random.Random) -> CheckReport:
     trials = 0
     u2, v2 = (0, 0, 1, 0), (0, 0, 0, 1)
     trials += 1
-    variant_exp = bilinear_exponent(P2_FORMULA_VARIANT, u2, v2)
+    variant_exp = P2_FORMULA_VARIANT.phase_exponent(u2, v2)
     oracle_exp, oracle_idx = normal_order_exponent(P2, [(2, 1), (3, 1)])
     if variant_exp != -2:
         failures.append(f"variant exponent on (U2, V2) is s^{variant_exp}, expected s^-2 (q^-1)")
@@ -414,7 +441,7 @@ def _check_p2_discrepancy(cfg: TrialConfig, rng: random.Random) -> CheckReport:
         failures.append("variant formula unexpectedly agrees with the relations on (U2, V2)")
     if P2.phase_exponent(u2, v2) != oracle_exp:
         failures.append("implemented cocycle disagrees with the relations on (U2, V2)")
-    box = [tuple(t) for t in itertools.product(range(-1, 2), repeat=4)]
+    box = _box(1, 4)
     for a in box:
         for b in box:
             trials += 1
@@ -429,133 +456,6 @@ def _check_p2_discrepancy(cfg: TrialConfig, rng: random.Random) -> CheckReport:
     )
 
 
-@_register("q1-degeneration")
-def _check_q1_degeneration(cfg: TrialConfig, rng: random.Random) -> CheckReport:
-    """At theta = 0 (q = 1) every product commutes numerically."""
-    failures = []
-    trials = 0
-    for algebra in (TORUS, P2, P3):
-        for _ in range(cfg.trials):
-            trials += 1
-            x = random_element(algebra, cfg, rng)
-            y = random_element(algebra, cfg, rng)
-            gap = _numeric_gap_elements(x * y, y * x, 0.0)
-            if gap > NUMERIC_TOL:
-                failures.append(
-                    f"{algebra.name}: commutator gap {gap:.3e} at theta=0 for "
-                    f"x={x.render()}, y={y.render()}"
-                )
-    return CheckReport("q1-degeneration", ("torus", "p2", "p3"), trials, tuple(failures))
-
-
-def _homomorphism_report(
-    name: str,
-    fmap: LinearMap,
-    cfg: TrialConfig,
-    rng: random.Random,
-) -> CheckReport:
-    failures = []
-    for _ in range(cfg.trials):
-        x = random_element(fmap.source, cfg, rng)
-        y = random_element(fmap.source, cfg, rng)
-        msg = _mismatch_elements(fmap(x * y), fmap(x) * fmap(y))
-        if msg:
-            failures.append(f"x={x.render()}, y={y.render()}: {msg}")
-    algebras = (fmap.source.name, fmap.target.name)
-    return CheckReport(name, algebras, cfg.trials, tuple(failures))
-
-
-CHECKS.update(
-    (name, partial(_homomorphism_report, name, fmap))
-    for name, fmap in (
-        ("delta-homomorphism", comult),
-        ("delta-id-homomorphism", lift_left_comult),
-        ("id-delta-homomorphism", lift_right_comult),
-        ("antipode-homomorphism", antipode),  # a homomorphism, not an anti-homomorphism
-        ("circle-delta-homomorphism", circle_comult),
-    )
-)
-
-
-def _torus_basis_box(bound: int) -> list[MultiIndex]:
-    return [tuple(t) for t in itertools.product(range(-bound, bound + 1), repeat=2)]
-
-
-@_register("coassociativity")
-def _check_coassociativity(cfg: TrialConfig, rng: random.Random) -> CheckReport:
-    """Both one-sided comultiplication lifts of the comultiplication agree."""
-    failures = []
-    trials = 0
-    for k, l in _torus_basis_box(3):
-        trials += 1
-        x = TORUS.basis((k, l))
-        left = lift_left_comult(comult(x))
-        right = lift_right_comult(comult(x))
-        closed = phase_pow(-2 * k * l) * P3.basis((k, l, k, l, k, l))
-        msg = _mismatch_elements(left, right) or _mismatch_elements(left, closed)
-        if msg:
-            failures.append(f"basis ({k},{l}): {msg}")
-    for _ in range(cfg.trials):
-        trials += 1
-        x = random_element(TORUS, cfg, rng)
-        msg = _mismatch_elements(
-            lift_left_comult(comult(x)), lift_right_comult(comult(x))
-        )
-        if msg:
-            failures.append(f"x={x.render()}: {msg}")
-    return CheckReport("coassociativity", ("torus", "p2", "p3"), trials, tuple(failures))
-
-
-@_register("counit-laws")
-def _check_counit_laws(cfg: TrialConfig, rng: random.Random) -> CheckReport:
-    failures = []
-    trials = 0
-    inputs: list[AlgebraElement] = [TORUS.basis(idx) for idx in _torus_basis_box(3)]
-    for _ in range(cfg.trials):
-        inputs.append(random_element(TORUS, cfg, rng))
-    for x in inputs:
-        trials += 1
-        if (msg := _mismatch_elements(lift_left_counit(comult(x)), x)) or (
-            msg := _mismatch_elements(lift_right_counit(comult(x)), x)
-        ):
-            failures.append(f"x={x.render()}: {msg}")
-    return CheckReport("counit-laws", ("torus", "p2"), trials, tuple(failures))
-
-
-@_register("antipode-law")
-def _check_antipode_law(cfg: TrialConfig, rng: random.Random) -> CheckReport:
-    """Collapsing either one-sided inversion of the comultiplication gives the counit."""
-    failures = []
-    trials = 0
-    one = TORUS.unit()
-    for k, l in _torus_basis_box(3):
-        trials += 1
-        x = TORUS.basis((k, l))
-        # intermediate chain on basis monomials: s^(-kl) delta^(k,l,k,l)
-        # |-> s^(-kl) delta^(-k,-l,k,l) |-> s^(-kl) s^(2kl) = s^(kl) times the unit
-        mid = lift_left_antipode(comult(x))
-        expected_mid = phase_pow(-k * l) * P2.basis((-k, -l, k, l))
-        target = counit(x) * one
-        msg = (
-            _mismatch_elements(mid, expected_mid)
-            or _mismatch_elements(mult_map(mid), phase_pow(k * l) * one)
-            or _mismatch_elements(mult_map(mid), target)
-            or _mismatch_elements(mult_map(lift_right_antipode(comult(x))), target)
-        )
-        if msg:
-            failures.append(f"basis ({k},{l}): {msg}")
-    for _ in range(cfg.trials):
-        trials += 1
-        x = random_element(TORUS, cfg, rng)
-        target = counit(x) * one
-        if (msg := _mismatch_elements(mult_map(lift_left_antipode(comult(x))), target)) or (
-            msg := _mismatch_elements(mult_map(lift_right_antipode(comult(x))), target)
-        ):
-            failures.append(f"x={x.render()}: {msg}")
-    return CheckReport("antipode-law", ("torus", "p2"), trials, tuple(failures))
-
-
-@_register("counit-non-homomorphism")
 def _check_counit_witness(cfg: TrialConfig, rng: random.Random) -> CheckReport:
     """The counit is linear but multiplicative on no account: eps(UV) != eps(U)eps(V)."""
     failures = []
@@ -576,11 +476,10 @@ def _check_counit_witness(cfg: TrialConfig, rng: random.Random) -> CheckReport:
     return CheckReport("counit-non-homomorphism", ("torus",), 1, tuple(failures))
 
 
-@_register("mu-represents-multiplication")
 def _check_mu_multiplication(cfg: TrialConfig, rng: random.Random) -> CheckReport:
     failures = []
     trials = 0
-    box = _torus_basis_box(2)
+    box = _box(2, 2)
     for a in box:
         xa = TORUS.basis(a)
         for b in box:
@@ -617,17 +516,16 @@ def _image_seq(
     return seq
 
 
-@_register("derived-rules-oracle")
 def _check_derived_rules(cfg: TrialConfig, rng: random.Random) -> CheckReport:
     """The maps' data (A, P) agree with replaying generator images through rewriting."""
     failures = []
     trials = 0
-    boxes: dict[str, Iterable[MultiIndex]] = {
-        "delta": _torus_basis_box(3),
-        "S": _torus_basis_box(3),
-        "circle-delta": [(n,) for n in range(-6, 7)],
-        "delta-id": [tuple(t) for t in itertools.product(range(-2, 3), repeat=4)],
-        "id-delta": [tuple(t) for t in itertools.product(range(-2, 3), repeat=4)],
+    boxes = {
+        "delta": _box(3, 2),
+        "S": _box(3, 2),
+        "circle-delta": _box(6, 1),
+        "delta-id": _box(2, 4),
+        "id-delta": _box(2, 4),
     }
     for map_name, images in GENERATOR_IMAGES.items():
         fmap = MAPS[map_name]
@@ -643,6 +541,66 @@ def _check_derived_rules(cfg: TrialConfig, rng: random.Random) -> CheckReport:
     return CheckReport(
         "derived-rules-oracle", ("torus", "p2", "p3"), trials, tuple(failures)
     )
+
+
+# --- check registry -----------------------------------------------------
+
+CheckFunction = Callable[[TrialConfig, random.Random], CheckReport]
+
+
+def _shared(
+    name: str, loop: Callable[..., CheckReport], *args, **kwargs
+) -> tuple[str, CheckFunction]:
+    """A registry entry running one of the shared loops under ``name``."""
+    return name, partial(loop, name, *args, **kwargs)
+
+
+def _each(algebras: Iterable[AlgebraDescriptor]) -> list[tuple[str, AlgebraDescriptor, object]]:
+    return [(f"{a.name}: ", a, a) for a in algebras]
+
+
+_ROW_LABEL = "{a} {b} = q^({e}/2) {b} {a}: "
+_EVERY_ALGEBRA = _each(ALGEBRAS.values())
+_EMBEDDED = [(f"{f.name}: ", TORUS, f) for f in (embed_left, embed_right)]
+CHECKS: dict[str, CheckFunction] = dict(
+    [
+        _shared("torus-relation", _rows, (TORUS,), _ROW_LABEL, False),
+        _shared("p2-relations", _rows, (P2,), _ROW_LABEL, False),
+        _shared("p3-relations", _rows, (P3,), _ROW_LABEL, False),
+        # every relation row, evaluated both through the cocycle product and
+        # through the rewriting tables, must name the same element
+        _shared("swap-table-consistency", _rows, (TORUS, P2, P3), "{alg} {a} {b}: ", True),
+        _shared("unit-law", _sampled, tuple(ALGEBRAS), _EVERY_ALGEBRA, 1, _unit_law),
+        _shared("associativity", _sampled, tuple(ALGEBRAS), _EVERY_ALGEBRA, 3, _associativity_law),
+        _shared("subalgebra-embedding", _sampled, ("torus", "p2"), _EMBEDDED, 2, _homomorphism_law),
+        ("oracle-equivalence", _check_oracle_equivalence),
+        ("confluence", _check_confluence),
+        ("p2-formula-vs-relations-discrepancy", _check_p2_discrepancy),
+        _shared(
+            "q1-degeneration", _sampled, ("torus", "p2", "p3"), _each((TORUS, P2, P3)), 2,
+            _commutator_gap_at_q1, template="{msg} for {inputs}",
+        ),
+        *(
+            _shared(
+                name, _sampled, (f.source.name, f.target.name), [("", f.source, f)], 2,
+                _homomorphism_law,
+            )
+            for name, f in (
+                ("delta-homomorphism", comult),
+                ("delta-id-homomorphism", lift_left_comult),
+                ("id-delta-homomorphism", lift_right_comult),
+                ("antipode-homomorphism", antipode),  # a homomorphism, not an anti-homomorphism
+                ("circle-delta-homomorphism", circle_comult),
+            )
+        ),
+        _shared("coassociativity", _on_torus, ("torus", "p2", "p3"), _coassociativity_law, True),
+        _shared("counit-laws", _on_torus, ("torus", "p2"), _counit_law, False),
+        _shared("antipode-law", _on_torus, ("torus", "p2"), _antipode_law, True),
+        ("counit-non-homomorphism", _check_counit_witness),
+        ("mu-represents-multiplication", _check_mu_multiplication),
+        ("derived-rules-oracle", _check_derived_rules),
+    ]
+)
 
 
 DEFAULT_SELECTION: tuple[str, ...] = tuple(CHECKS)

@@ -10,9 +10,10 @@ import json
 import random
 import sys
 import time
+from pathlib import Path
 
 from qtorus.phases import ONE, phase_pow
-from qtorus.algebra import ALGEBRAS, P2, P3, TORUS, bilinear_exponent
+from qtorus.algebra import ALGEBRAS, P2, P3, TORUS
 from qtorus.cli import main, parse_expression
 from qtorus.maps import (
     comult,
@@ -36,6 +37,7 @@ from qtorus.suite import (
 )
 
 SEED = 20260809
+GOLDEN_CHECK_JSON = Path(__file__).parent / "golden" / "check_seed_20260809.json"
 
 # Trial counts of every check in the default suite at the default 200 trials;
 # none depends on the seed, so a faster suite cannot come from fewer trials.
@@ -117,7 +119,7 @@ def test_criterion_3_formula_discrepancy_exhibit():
     u2, v2 = (0, 0, 1, 0), (0, 0, 0, 1)
     # the variant exponent (final cross term -m1*n2 in q-units) yields q^-1 on
     # (U2, V2); the relations demand coefficient 1
-    variant = phase_pow(bilinear_exponent(P2_FORMULA_VARIANT, u2, v2))
+    variant = phase_pow(P2_FORMULA_VARIANT.phase_exponent(u2, v2))
     if variant != phase_pow(-2):
         failures.append(f"variant coefficient is {variant.render()}, expected q^(-1)")
     e, idx = normal_order_exponent(P2, [(2, 1), (3, 1)])
@@ -283,6 +285,8 @@ def test_criterion_10_cli_conformance(capsys):
         trials = {r["name"]: r["trials"] for r in records}
         if trials != DEFAULT_SUITE_TRIALS:
             failures.append(f"trial counts {trials} differ from {DEFAULT_SUITE_TRIALS}")
+        if out != GOLDEN_CHECK_JSON.read_text():
+            failures.append(f"check JSON differs from {GOLDEN_CHECK_JSON.name}")
     rng = random.Random(SEED)
     cfg = TrialConfig(seed=SEED)
     for algebra in ALGEBRAS.values():

@@ -15,7 +15,6 @@ from qtorus.algebra import (
     P3,
     TORUS,
     AlgebraElement,
-    bilinear_exponent,
 )
 from qtorus.rewrite import normal_order, word_of_index
 
@@ -227,12 +226,6 @@ def test_records_round_trip():
     for idx, terms in records:
         assert all(isinstance(k, int) for k in idx)
         assert all(len(t) == 5 and all(isinstance(v, int) for v in t) for t in terms)
-
-
-def test_bilinear_exponent_helper_matches_descriptor():
-    for a in itertools.product(range(-2, 3), repeat=2):
-        for b in itertools.product(range(-2, 3), repeat=2):
-            assert bilinear_exponent(TORUS.cocycle, a, b) == TORUS.phase_exponent(a, b)
 
 
 def _form(algebra, a, b):

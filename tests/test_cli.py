@@ -203,6 +203,14 @@ def test_check_command_unknown_suite(capsys):
     assert "unknown check name" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("names", [",", "", ",,"])
+def test_check_command_without_a_check_name_exits_2(capsys, names):
+    assert main(["check", "--suite", names]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "no check selected" in captured.err
+
+
 def test_check_command_failure_exit_code(capsys):
     from qtorus import suite as suite_mod
 
@@ -271,6 +279,14 @@ def test_eval_rejects_non_finite_theta(capsys, theta):
     captured = capsys.readouterr()
     assert not captured.out
     assert "theta must be a finite number" in captured.err
+
+
+@pytest.mark.parametrize("theta", ["1e300", "1e308", "-1e308", "2", "-4"])
+def test_eval_reduces_theta_mod_2(capsys, theta):
+    # each of these is an even integer, so s = 1; pi * 1e308 overflows unreduced
+    assert main(["eval", f"--theta={theta}", "--algebra", "torus", "--", "q^(1/2) U"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "U: 1+0i\n" and not captured.err
 
 
 def test_usage_error_exits_2():
