@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .phases import ParseError, PhaseScalar, parse_tokens, tokenize
@@ -183,6 +184,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("eval", parents=[fmt], help="evaluate numerically at q = exp(2*pi*i*theta)")
+    # argparse's own negative-number pattern has no exponent, so it would read
+    # "--theta -1e-3" as an option with no value; this pattern takes the exponent
+    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--algebra", required=True, choices=list(ALGEBRAS))
     p.add_argument("expr")

@@ -4,8 +4,8 @@ This is an independent oracle for the cocycle-based product: a word in the
 generators is sorted into the canonical order U1 < V1 < U2 < V2 < U3 < V3 by
 a stable insertion sort that shifts each letter left past the later
 generators before it.  Each letter passed is one adjacent swap, and its phase
-is read from the dense swap rows of the ambient algebra, which are built
-from the relation rows (``RELATION_ROWS`` via ``SWAP_TABLES``) alone.
+is read from the swap matrix of the ambient algebra, which is built once, at
+import, from its relation rows (``RELATION_ROWS``) alone.
 Nothing here touches the cocycle matrices, so agreement between
 :func:`normal_order` and ``AlgebraElement.__mul__`` is a genuine cross-check.
 
@@ -20,6 +20,7 @@ to call from multiple threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .phases import PhaseScalar, phase_pow
 from .algebra import ALGEBRAS, AlgebraDescriptor, MultiIndex
@@ -28,7 +29,6 @@ __all__ = [
     "GeneratorSymbol",
     "Word",
     "RELATION_ROWS",
-    "SWAP_TABLES",
     "swap_exponent",
     "word_of_index",
     "normal_order",
@@ -56,12 +56,8 @@ class Word:
     letters: tuple[GeneratorSymbol, ...]
 
     def __post_init__(self):
-        d = self.algebra.d
-        for g in self.letters:
-            if not 0 <= g.position < d:
-                raise ValueError(
-                    f"generator position {g.position} out of range for {self.algebra.name!r}"
-                )
+        if not all(0 <= g.position < self.algebra.d for g in self.letters):
+            raise _position_error(self.algebra, (g.position for g in self.letters))
 
     def __mul__(self, other: "Word") -> "Word":
         if self.algebra != other.algebra:
@@ -121,38 +117,31 @@ RELATION_ROWS: dict[str, tuple[tuple[int, int, int], ...]] = {
 }
 
 
-def _swap_table(rows: tuple[tuple[int, int, int], ...]) -> dict[tuple[int, int], int]:
-    # rows give g_i g_j = s**e g_j g_i for i < j; moving the later generator
-    # left past the earlier one therefore costs s**(-e).
-    return {(j, i): -e for i, j, e in rows}
-
-
-SWAP_TABLES: dict[str, dict[tuple[int, int], int]] = {
-    name: _swap_table(rows) for name, rows in RELATION_ROWS.items()
-}
-
-
-def _swap_rows(table: dict[tuple[int, int], int], d: int) -> tuple[tuple[int, ...], ...]:
-    # dense form of one swap table: rows[a][b] == table[(a, b)] for a > b
-    return tuple(
-        tuple(table[(a, b)] if a > b else 0 for b in range(d)) for a in range(d)
-    )
+def _swap_matrix(rows: tuple[tuple[int, int, int], ...], d: int) -> tuple[tuple[int, ...], ...]:
+    # the antisymmetric matrix m with g_a g_b = s**m[a][b] g_b g_a: a row
+    # (i, j, e) gives m[i][j] = e and m[j][i] = -e
+    m = [[0] * d for _ in range(d)]
+    for i, j, e in rows:
+        m[i][j], m[j][i] = e, -e
+    return tuple(map(tuple, m))
 
 
 # Only the number of generators is read from each algebra, never its cocycle.
-_SWAP_ROWS: dict[str, tuple[tuple[int, ...], ...]] = {
-    name: _swap_rows(table, ALGEBRAS[name].d) for name, table in SWAP_TABLES.items()
+_SWAP: dict[str, tuple[tuple[int, ...], ...]] = {
+    name: _swap_matrix(rows, ALGEBRAS[name].d) for name, rows in RELATION_ROWS.items()
 }
+
+
+def _position_error(algebra: AlgebraDescriptor, positions: Iterable[int]) -> ValueError:
+    bad = next(p for p in positions if not 0 <= p < algebra.d)
+    return ValueError(f"generator position {bad} out of range for {algebra.name!r}")
 
 
 def swap_exponent(algebra: AlgebraDescriptor, a: int, b: int) -> int:
     """s-exponent e with g_a g_b = s**e g_b g_a (antisymmetric in a, b)."""
-    if a == b:
-        return 0
-    table = SWAP_TABLES[algebra.name]
-    if a > b:
-        return table[(a, b)]
-    return -table[(b, a)]
+    if not (0 <= a < algebra.d and 0 <= b < algebra.d):
+        raise _position_error(algebra, (a, b))
+    return _SWAP[algebra.name][a][b]
 
 
 def word_of_index(algebra: AlgebraDescriptor, idx: MultiIndex) -> Word:
@@ -172,36 +161,39 @@ def normal_order_exponent(
     Stable insertion sort by shifting: each letter (b, r) moves left past
     the letters (a, p) with a > b before it, which shift one place right.
     Moving past one such letter is the adjacent swap g_a^p g_b^r ->
-    g_b^r g_a^p, which contributes ``e(a, b) * p * r``, read from the dense
-    swap rows of the relation table (``rows[a][b]``).  Equal positions never
+    g_b^r g_a^p, which contributes ``e(a, b) * p * r``, read from the swap
+    matrix of the relation rows (``rows[a][b]``).  Equal positions never
     swap, so the swaps and the exponent are those of adjacent-swap bubble
     sort.  Inverses are negative powers; like generators merge by adding
-    their powers.
+    their powers.  A position outside the algebra raises ``ValueError``.
     """
-    rows = _SWAP_ROWS[algebra.name]
+    rows = _SWAP[algebra.name]
     arr = list(seq)
     exponent = 0
     powers = [0] * algebra.d
-    for i, letter in enumerate(arr):
-        b, r = letter
-        powers[b] += r
-        j = i
-        passed = 0
-        while j:
-            prev = arr[j - 1]
-            a = prev[0]
-            if a <= b:
-                break
-            passed += rows[a][b] * prev[1]
-            arr[j] = prev
-            j -= 1
-        if j != i:
-            arr[j] = letter
-            exponent += passed * r
+    try:
+        for i, letter in enumerate(arr):
+            b, r = letter
+            powers[b] += r
+            j = i
+            passed = 0
+            while j:
+                prev = arr[j - 1]
+                a = prev[0]
+                if a <= b:
+                    break
+                passed += rows[a][b] * prev[1]
+                arr[j] = prev
+                j -= 1
+            if j != i:
+                arr[j] = letter
+                exponent += passed * r
+    except IndexError:  # a position past the last generator, at powers[b]
+        raise _position_error(algebra, (p for p, _ in seq)) from None
     # The sorted word starts with its smallest position, so one look finds a
-    # negative one; a position past the last generator failed at powers[b].
+    # negative one, which indexed from the end above.
     if arr and arr[0][0] < 0:
-        raise ValueError(f"generator position {arr[0][0]} out of range for {algebra.name!r}")
+        raise _position_error(algebra, (p for p, _ in seq))
     return exponent, tuple(powers)
 
 

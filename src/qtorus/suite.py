@@ -6,10 +6,12 @@ check compares its two sides exactly (canonical forms) and, as a guard on the
 numeric evaluation path, also compares them in double precision at
 theta = 0, 1/3 and 0.1375 (a root-of-unity regime, and a generic value).
 
-Sixteen checks share three loops: ``_rows`` compares relation rows,
+Each check is a stream that yields one outcome per trial: None for a pass,
+else a failure message (or, for a single witness trial, a tuple of them).  One
+collector, ``_run``, counts the trials, keeps the failures and builds the
+report.  Sixteen checks share three streams: ``_rows`` compares relation rows,
 ``_sampled`` applies a law to k random elements per trial, and ``_on_torus``
-applies one to the basis box [-3,3]^2 and then to random torus elements.  The
-registry ``CHECKS`` says which check runs where; the other six are written out.
+applies one to the basis box [-3,3]^2 and then to random torus elements.
 
 Checks draw their randomness from a generator seeded by (seed, check name),
 so reports are byte-identical for a fixed (seed, selection) and independent
@@ -24,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .phases import ONE, GaussianRational, PhaseScalar, phase_pow
 from .algebra import (
@@ -180,27 +182,44 @@ def _mismatch_elements(lhs: AlgebraElement, rhs: AlgebraElement) -> str | None:
     return None
 
 
-# --- the three shared loops ---------------------------------------------
+# --- the one collector ---------------------------------------------------
+
+# One trial's outcome: None for a pass, else its failure message(s).
+Outcome = str | tuple[str, ...] | None
+Stream = Callable[[TrialConfig, random.Random], Iterable[Outcome]]
+
+
+def _run(
+    name: str, algebras: tuple[str, ...], stream: Stream, keep: int | None,
+    cfg: TrialConfig, rng: random.Random,
+) -> CheckReport:
+    """Count the trials of one check's stream and keep their failures (the first ``keep``)."""
+    failures: list[str] = []
+    trials = 0
+    for outcome in stream(cfg, rng):
+        trials += 1
+        if outcome and (keep is None or len(failures) < keep):
+            failures.extend((outcome,) if isinstance(outcome, str) else outcome)
+    return CheckReport(name, algebras, trials, tuple(failures[:keep]))
+
+
+# --- streams shared by several checks -------------------------------------
 
 def _rows(
-    name: str,
     algebras: tuple[AlgebraDescriptor, ...],
     label: str,
     rewriting: bool,
     cfg: TrialConfig,
     rng: random.Random,
-) -> CheckReport:
+) -> Iterator[Outcome]:
     """Each relation row g_i g_j = s^e g_j g_i as an exact element equality.
 
     With ``rewriting``, normal ordering must also move g_j past g_i at the
     cost s^-e.  A failure is ``label`` (a format over alg, a, b, e) and a message.
     """
-    failures = []
-    trials = 0
     for algebra in algebras:
         names = algebra.generator_names
         for i, j, e in RELATION_ROWS[algebra.name]:
-            trials += 1
             gi, gj = algebra.generator(names[i]), algebra.generator(names[j])
             msg = _mismatch_elements(gi * gj, phase_pow(e) * (gj * gi))
             if rewriting and not msg:
@@ -208,60 +227,52 @@ def _rows(
                 er, ir = normal_order_exponent(algebra, [(j, 1), (i, 1)])
                 if il != ir or el != e + er:
                     msg = f"rewriting phases disagree: s^{el} vs s^({e}+{er})"
-            if msg:
-                failures.append(label.format(alg=algebra.name, a=names[i], b=names[j], e=e) + msg)
-    return CheckReport(name, tuple(a.name for a in algebras), trials, tuple(failures))
+            yield msg and label.format(alg=algebra.name, a=names[i], b=names[j], e=e) + msg
 
 
 def _sampled(
-    name: str,
-    algebras: tuple[str, ...],
     cases: Sequence[tuple[str, AlgebraDescriptor, object]],
     arity: int,
     law: Callable[..., str | None],
     cfg: TrialConfig,
     rng: random.Random,
     template: str = "{inputs}: {msg}",
-) -> CheckReport:
+) -> Iterator[Outcome]:
     """``cfg.trials`` trials for each case (label, source, subject).
 
     A trial draws ``arity`` elements x, y, z of the source and fails with
     ``label + template`` when ``law(subject, x, ...)`` returns a message.
     """
-    failures = []
     for label, source, subject in cases:
         for _ in range(cfg.trials):
             xs = [random_element(source, cfg, rng) for _ in range(arity)]
             msg = law(subject, *xs)
             if msg:
                 inputs = ", ".join(f"{v}={x.render()}" for v, x in zip("xyz", xs))
-                failures.append(label + template.format(inputs=inputs, msg=msg))
-    return CheckReport(name, algebras, len(cases) * cfg.trials, tuple(failures))
+                msg = label + template.format(inputs=inputs, msg=msg)
+            yield msg
 
 
 def _on_torus(
-    name: str,
-    algebras: tuple[str, ...],
     law: Callable[[AlgebraElement, MultiIndex | None], str | None],
     basis_label: bool,
     cfg: TrialConfig,
     rng: random.Random,
-) -> CheckReport:
+) -> Iterator[Outcome]:
     """A law on each basis monomial of [-3,3]^2, then on random torus elements.
 
     The law gets a basis monomial's index (None for a random element), so
     closed forms that hold only on the basis stay inside it.  With
     ``basis_label`` a basis failure names its index, otherwise its rendering.
     """
-    failures = []
     inputs = [(TORUS.basis(idx), idx) for idx in _box(3, 2)]
     inputs += [(random_element(TORUS, cfg, rng), None) for _ in range(cfg.trials)]
     for x, idx in inputs:
         msg = law(x, idx)
         if msg:
             label = f"basis ({idx[0]},{idx[1]})" if basis_label and idx else f"x={x.render()}"
-            failures.append(f"{label}: {msg}")
-    return CheckReport(name, algebras, len(inputs), tuple(failures))
+            msg = f"{label}: {msg}"
+        yield msg
 
 
 def _unit_law(algebra: AlgebraDescriptor, x: AlgebraElement) -> str | None:
@@ -315,7 +326,7 @@ def _antipode_law(x: AlgebraElement, idx: MultiIndex | None) -> str | None:
     return msg or _mismatch_elements(mult_map(lift_right_antipode(comult(x))), target)
 
 
-# --- the six bespoke checks ---------------------------------------------
+# --- the other checks ---------------------------------------------------
 
 def _oracle_pair_failure(
     algebra: AlgebraDescriptor,
@@ -345,47 +356,32 @@ def _oracle_pair_failure(
     return None
 
 
-def _check_oracle_equivalence(cfg: TrialConfig, rng: random.Random) -> CheckReport:
-    """Cocycle product vs normal ordering: exhaustive for d=2,4, random for d=6."""
-    failures = []
-    trials = 0
+def _oracle_equivalence(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcome]:
+    """Cocycle product vs normal ordering: exhaustive for d=2,4, random for d=6.
+
+    Every 97th pair is also compared at the numeric probes.
+    """
+    probes = itertools.cycle([False] * 96 + [True])
     for algebra in (TORUS, P2):
         idxs = _box(2, algebra.d)
         seqs = {a: tuple((p, k) for p, k in enumerate(a) if k) for a in idxs}
         basis = {a: algebra.basis(a) for a in idxs}
         for a in idxs:
-            xa = basis[a]
-            sa = seqs[a]
+            xa, sa = basis[a], seqs[a]
             for b in idxs:
-                trials += 1
-                msg = _oracle_pair_failure(
-                    algebra, a, b, xa, basis[b], sa + seqs[b], trials % 97 == 0
-                )
-                if msg and len(failures) < 5:
-                    failures.append(msg)
+                yield _oracle_pair_failure(algebra, a, b, xa, basis[b], sa + seqs[b], next(probes))
     for _ in range(max(1000, cfg.trials)):
-        trials += 1
         a = tuple(rng.randint(-2, 2) for _ in range(6))
         b = tuple(rng.randint(-2, 2) for _ in range(6))
-        seq = [(p, k) for p, k in enumerate(a) if k] + [
-            (p, k) for p, k in enumerate(b) if k
-        ]
-        msg = _oracle_pair_failure(
-            P3, a, b, P3.basis(a), P3.basis(b), seq, trials % 97 == 0
-        )
-        if msg and len(failures) < 5:
-            failures.append(msg)
-    return CheckReport("oracle-equivalence", ("torus", "p2", "p3"), trials, tuple(failures))
+        seq = [(p, k) for x in (a, b) for p, k in enumerate(x) if k]
+        yield _oracle_pair_failure(P3, a, b, P3.basis(a), P3.basis(b), seq, next(probes))
 
 
-def _check_confluence(cfg: TrialConfig, rng: random.Random) -> CheckReport:
+def _confluence(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcome]:
     """Normal ordering is invariant under phase-tracked reshuffling."""
-    failures = []
-    trials = 0
     nontrivial_powers = [-3, -2, -1, 1, 2, 3]
     for algebra in ALGEBRAS.values():
         for _ in range(max(500, cfg.trials)):
-            trials += 1
             seq = [
                 (rng.randrange(algebra.d), rng.choice(nontrivial_powers))
                 for _ in range(rng.randint(1, 6))
@@ -401,12 +397,10 @@ def _check_confluence(cfg: TrialConfig, rng: random.Random) -> CheckReport:
                 acc += swap_exponent(algebra, a, b) * p * r
                 shuffled[i], shuffled[i + 1] = shuffled[i + 1], shuffled[i]
             e1, idx1 = normal_order_exponent(algebra, shuffled)
-            if idx1 != idx0 or e1 != e0 - acc:
-                failures.append(
-                    f"{algebra.name}: word {seq} -> s^{e0} delta^{idx0}, "
-                    f"shuffle -> s^{e1} delta^{idx1} with tracked phase {acc}"
-                )
-    return CheckReport("confluence", tuple(ALGEBRAS), trials, tuple(failures))
+            yield None if idx1 == idx0 and e1 == e0 - acc else (
+                f"{algebra.name}: word {seq} -> s^{e0} delta^{idx0}, "
+                f"shuffle -> s^{e1} delta^{idx1} with tracked phase {acc}"
+            )
 
 
 # The product formula variant whose final cross term couples the first
@@ -420,77 +414,59 @@ P2_FORMULA_VARIANT = AlgebraDescriptor(
 )
 
 
-def _check_p2_discrepancy(cfg: TrialConfig, rng: random.Random) -> CheckReport:
+def _p2_discrepancy(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcome]:
     """The variant exponent disagrees with the relations exactly where expected.
 
     This check passes by *confirming* the discrepancy on (U2, V2) and by
     confirming that the implemented bilinear form matches the rewriting
     oracle everywhere on a small exhaustive box.
     """
-    failures = []
-    trials = 0
     u2, v2 = (0, 0, 1, 0), (0, 0, 0, 1)
-    trials += 1
     variant_exp = P2_FORMULA_VARIANT.phase_exponent(u2, v2)
     oracle_exp, oracle_idx = normal_order_exponent(P2, [(2, 1), (3, 1)])
-    if variant_exp != -2:
-        failures.append(f"variant exponent on (U2, V2) is s^{variant_exp}, expected s^-2 (q^-1)")
-    if oracle_exp != 0 or oracle_idx != (0, 0, 1, 1):
-        failures.append(f"relations give s^{oracle_exp} delta^{oracle_idx}, expected delta^(0,0,1,1)")
-    if variant_exp == oracle_exp:
-        failures.append("variant formula unexpectedly agrees with the relations on (U2, V2)")
-    if P2.phase_exponent(u2, v2) != oracle_exp:
-        failures.append("implemented cocycle disagrees with the relations on (U2, V2)")
+    yield tuple(filter(None, (
+        variant_exp != -2
+        and f"variant exponent on (U2, V2) is s^{variant_exp}, expected s^-2 (q^-1)",
+        (oracle_exp != 0 or oracle_idx != (0, 0, 1, 1))
+        and f"relations give s^{oracle_exp} delta^{oracle_idx}, expected delta^(0,0,1,1)",
+        variant_exp == oracle_exp
+        and "variant formula unexpectedly agrees with the relations on (U2, V2)",
+        P2.phase_exponent(u2, v2) != oracle_exp
+        and "implemented cocycle disagrees with the relations on (U2, V2)",
+    )))
     box = _box(1, 4)
     for a in box:
         for b in box:
-            trials += 1
-            seq = [(p, k) for p, k in enumerate(a) if k] + [
-                (p, k) for p, k in enumerate(b) if k
-            ]
+            seq = [(p, k) for x in (a, b) for p, k in enumerate(x) if k]
             e, idx = normal_order_exponent(P2, seq)
-            if e != P2.phase_exponent(a, b) or idx != tuple(x + y for x, y in zip(a, b)):
-                failures.append(f"corrected cocycle disagrees with rewriting on {a}x{b}")
-    return CheckReport(
-        "p2-formula-vs-relations-discrepancy", ("p2",), trials, tuple(failures)
-    )
+            agree = e == P2.phase_exponent(a, b) and idx == tuple(x + y for x, y in zip(a, b))
+            yield None if agree else f"corrected cocycle disagrees with rewriting on {a}x{b}"
 
 
-def _check_counit_witness(cfg: TrialConfig, rng: random.Random) -> CheckReport:
+def _counit_witness(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcome]:
     """The counit is linear but multiplicative on no account: eps(UV) != eps(U)eps(V)."""
-    failures = []
     u, v = TORUS.generator("U"), TORUS.generator("V")
     lhs = counit(u * v)
     rhs = counit(u) * counit(v)
-    if lhs != phase_pow(1):
-        failures.append(f"eps(U V) = {lhs.render()}, expected q^(1/2)")
-    if rhs != ONE:
-        failures.append(f"eps(U) eps(V) = {rhs.render()}, expected 1")
-    if lhs == rhs:
-        failures.append("eps unexpectedly multiplicative on (U, V)")
-    if all(
-        abs(lhs.eval_numeric(theta) - rhs.eval_numeric(theta)) <= NUMERIC_TOL
-        for theta in THETA_PROBES[1:]
-    ):
-        failures.append("witness values numerically indistinguishable away from q=1")
-    return CheckReport("counit-non-homomorphism", ("torus",), 1, tuple(failures))
+    yield tuple(filter(None, (
+        lhs != phase_pow(1) and f"eps(U V) = {lhs.render()}, expected q^(1/2)",
+        rhs != ONE and f"eps(U) eps(V) = {rhs.render()}, expected 1",
+        lhs == rhs and "eps unexpectedly multiplicative on (U, V)",
+        all(
+            abs(lhs.eval_numeric(theta) - rhs.eval_numeric(theta)) <= NUMERIC_TOL
+            for theta in THETA_PROBES[1:]
+        ) and "witness values numerically indistinguishable away from q=1",
+    )))
 
 
-def _check_mu_multiplication(cfg: TrialConfig, rng: random.Random) -> CheckReport:
-    failures = []
-    trials = 0
+def _mu_multiplication(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcome]:
     box = _box(2, 2)
     for a in box:
         xa = TORUS.basis(a)
         for b in box:
-            trials += 1
             xb = TORUS.basis(b)
-            msg = _mismatch_elements(
-                mult_map(embed_left(xa) * embed_right(xb)), xa * xb
-            )
-            if msg:
-                failures.append(f"{a}x{b}: {msg}")
-    return CheckReport("mu-represents-multiplication", ("torus", "p2"), trials, tuple(failures))
+            msg = _mismatch_elements(mult_map(embed_left(xa) * embed_right(xb)), xa * xb)
+            yield msg and f"{a}x{b}: {msg}"
 
 
 def _image_seq(
@@ -516,10 +492,8 @@ def _image_seq(
     return seq
 
 
-def _check_derived_rules(cfg: TrialConfig, rng: random.Random) -> CheckReport:
+def _derived_rules(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcome]:
     """The maps' data (A, P) agree with replaying generator images through rewriting."""
-    failures = []
-    trials = 0
     boxes = {
         "delta": _box(3, 2),
         "S": _box(3, 2),
@@ -530,29 +504,17 @@ def _check_derived_rules(cfg: TrialConfig, rng: random.Random) -> CheckReport:
     for map_name, images in GENERATOR_IMAGES.items():
         fmap = MAPS[map_name]
         for idx in boxes[map_name]:
-            trials += 1
             seq = _image_seq(fmap.target, images, fmap.source, idx)
             exponent, jdx = normal_order_exponent(fmap.target, seq)
             got = fmap(fmap.source.basis(idx))
             expected = phase_pow(exponent) * fmap.target.basis(jdx)
             msg = _mismatch_elements(got, expected)
-            if msg:
-                failures.append(f"{map_name} on delta^{idx}: {msg}")
-    return CheckReport(
-        "derived-rules-oracle", ("torus", "p2", "p3"), trials, tuple(failures)
-    )
+            yield msg and f"{map_name} on delta^{idx}: {msg}"
 
 
 # --- check registry -----------------------------------------------------
 
 CheckFunction = Callable[[TrialConfig, random.Random], CheckReport]
-
-
-def _shared(
-    name: str, loop: Callable[..., CheckReport], *args, **kwargs
-) -> tuple[str, CheckFunction]:
-    """A registry entry running one of the shared loops under ``name``."""
-    return name, partial(loop, name, *args, **kwargs)
 
 
 def _each(algebras: Iterable[AlgebraDescriptor]) -> list[tuple[str, AlgebraDescriptor, object]]:
@@ -562,45 +524,56 @@ def _each(algebras: Iterable[AlgebraDescriptor]) -> list[tuple[str, AlgebraDescr
 _ROW_LABEL = "{a} {b} = q^({e}/2) {b} {a}: "
 _EVERY_ALGEBRA = _each(ALGEBRAS.values())
 _EMBEDDED = [(f"{f.name}: ", TORUS, f) for f in (embed_left, embed_right)]
-CHECKS: dict[str, CheckFunction] = dict(
-    [
-        _shared("torus-relation", _rows, (TORUS,), _ROW_LABEL, False),
-        _shared("p2-relations", _rows, (P2,), _ROW_LABEL, False),
-        _shared("p3-relations", _rows, (P3,), _ROW_LABEL, False),
-        # every relation row, evaluated both through the cocycle product and
-        # through the rewriting tables, must name the same element
-        _shared("swap-table-consistency", _rows, (TORUS, P2, P3), "{alg} {a} {b}: ", True),
-        _shared("unit-law", _sampled, tuple(ALGEBRAS), _EVERY_ALGEBRA, 1, _unit_law),
-        _shared("associativity", _sampled, tuple(ALGEBRAS), _EVERY_ALGEBRA, 3, _associativity_law),
-        _shared("subalgebra-embedding", _sampled, ("torus", "p2"), _EMBEDDED, 2, _homomorphism_law),
-        ("oracle-equivalence", _check_oracle_equivalence),
-        ("confluence", _check_confluence),
-        ("p2-formula-vs-relations-discrepancy", _check_p2_discrepancy),
-        _shared(
-            "q1-degeneration", _sampled, ("torus", "p2", "p3"), _each((TORUS, P2, P3)), 2,
-            _commutator_gap_at_q1, template="{msg} for {inputs}",
-        ),
-        *(
-            _shared(
-                name, _sampled, (f.source.name, f.target.name), [("", f.source, f)], 2,
-                _homomorphism_law,
-            )
-            for name, f in (
-                ("delta-homomorphism", comult),
-                ("delta-id-homomorphism", lift_left_comult),
-                ("id-delta-homomorphism", lift_right_comult),
-                ("antipode-homomorphism", antipode),  # a homomorphism, not an anti-homomorphism
-                ("circle-delta-homomorphism", circle_comult),
-            )
-        ),
-        _shared("coassociativity", _on_torus, ("torus", "p2", "p3"), _coassociativity_law, True),
-        _shared("counit-laws", _on_torus, ("torus", "p2"), _counit_law, False),
-        _shared("antipode-law", _on_torus, ("torus", "p2"), _antipode_law, True),
-        ("counit-non-homomorphism", _check_counit_witness),
-        ("mu-represents-multiplication", _check_mu_multiplication),
-        ("derived-rules-oracle", _check_derived_rules),
-    ]
+_ALL, _DEFORMED = tuple(ALGEBRAS), ("torus", "p2", "p3")
+# Each check: its name, the algebras its report names, and its stream.
+_REGISTRY: tuple[tuple[str, tuple[str, ...], Stream], ...] = (
+    ("torus-relation", ("torus",), partial(_rows, (TORUS,), _ROW_LABEL, False)),
+    ("p2-relations", ("p2",), partial(_rows, (P2,), _ROW_LABEL, False)),
+    ("p3-relations", ("p3",), partial(_rows, (P3,), _ROW_LABEL, False)),
+    # every relation row, evaluated both through the cocycle product and
+    # through the rewriting tables, must name the same element
+    (
+        "swap-table-consistency", _DEFORMED,
+        partial(_rows, (TORUS, P2, P3), "{alg} {a} {b}: ", True),
+    ),
+    ("unit-law", _ALL, partial(_sampled, _EVERY_ALGEBRA, 1, _unit_law)),
+    ("associativity", _ALL, partial(_sampled, _EVERY_ALGEBRA, 3, _associativity_law)),
+    ("subalgebra-embedding", ("torus", "p2"), partial(_sampled, _EMBEDDED, 2, _homomorphism_law)),
+    ("oracle-equivalence", _DEFORMED, _oracle_equivalence),
+    ("confluence", _ALL, _confluence),
+    ("p2-formula-vs-relations-discrepancy", ("p2",), _p2_discrepancy),
+    (
+        "q1-degeneration", _DEFORMED,
+        partial(_sampled, _each((TORUS, P2, P3)), 2, _commutator_gap_at_q1,
+                template="{msg} for {inputs}"),
+    ),
+    *(
+        (
+            name, (f.source.name, f.target.name),
+            partial(_sampled, [("", f.source, f)], 2, _homomorphism_law),
+        )
+        for name, f in (
+            ("delta-homomorphism", comult),
+            ("delta-id-homomorphism", lift_left_comult),
+            ("id-delta-homomorphism", lift_right_comult),
+            ("antipode-homomorphism", antipode),  # a homomorphism, not an anti-homomorphism
+            ("circle-delta-homomorphism", circle_comult),
+        )
+    ),
+    ("coassociativity", _DEFORMED, partial(_on_torus, _coassociativity_law, True)),
+    ("counit-laws", ("torus", "p2"), partial(_on_torus, _counit_law, False)),
+    ("antipode-law", ("torus", "p2"), partial(_on_torus, _antipode_law, True)),
+    ("counit-non-homomorphism", ("torus",), _counit_witness),
+    ("mu-represents-multiplication", ("torus", "p2"), _mu_multiplication),
+    ("derived-rules-oracle", _DEFORMED, _derived_rules),
 )
+# The most failures a report keeps, where not all: the 392,250 oracle pairs
+# would otherwise keep every failure of a broken cocycle.
+_KEEP = {"oracle-equivalence": 5}
+CHECKS: dict[str, CheckFunction] = {
+    name: partial(_run, name, algebras, stream, _KEEP.get(name))
+    for name, algebras, stream in _REGISTRY
+}
 
 
 DEFAULT_SELECTION: tuple[str, ...] = tuple(CHECKS)

@@ -289,6 +289,19 @@ def test_eval_reduces_theta_mod_2(capsys, theta):
     assert captured.out == "U: 1+0i\n" and not captured.err
 
 
+@pytest.mark.parametrize("theta", ["-1e-3", "-2.5E+1", "-0.001"])
+def test_eval_takes_a_negative_theta_in_exponent_notation(theta):
+    # argparse's own negative-number pattern has no exponent, so "-1e-3" looked like an option
+    code, out, err = _run_main(["eval", "--theta", theta, "--algebra", "torus", "q U"])
+    assert code == 0 and not err
+    assert out == _run_main(["eval", f"--theta={theta}", "--algebra", "torus", "q U"])[1]
+
+
+def test_eval_theta_without_a_value_exits_2():
+    code, out, err = _run_main(["eval", "--theta", "--algebra", "torus", "U"])
+    assert code == 2 and not out and "argument --theta: expected one argument" in err
+
+
 def test_usage_error_exits_2():
     code, out, err = _run_main(["normalize", "--algebra", "nope", "U"])
     assert code == 2 and not out and "invalid choice" in err

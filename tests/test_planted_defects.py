@@ -1,17 +1,24 @@
-"""Planted defects: the checks that run on the suite's shared loops must catch them.
+"""Planted defects: every check other than ``oracle-equivalence`` must catch one.
 
 Each defect is planted for one test and undone by ``monkeypatch`` afterwards.
-The sixteen checks run at 20 trials, seed 7; ``oracle-equivalence`` is left
-out to keep the test fast.
+The 21 checks run at 20 trials, seed 7; ``oracle-equivalence`` is left out to
+keep the test fast.  Each run is pinned twice: by the exact set of checks that
+fail, and by the sha256 of its JSON records, which fixes every failure string
+and its order.  After a deliberate change of a report, recompute a digest with
+``hashlib.sha256(json.dumps(reports_to_records(reports)).encode()).hexdigest()``.
 """
+
+import hashlib
+import json
 
 import pytest
 
 from qtorus import algebra as algebra_module
+from qtorus import suite
 from qtorus.algebra import AlgebraDescriptor
-from qtorus.maps import comult
-from qtorus.rewrite import RELATION_ROWS
-from qtorus.suite import TrialConfig, run_suite
+from qtorus.maps import comult, counit, mult_map
+from qtorus.rewrite import RELATION_ROWS, swap_exponent
+from qtorus.suite import CHECKS, TrialConfig, reports_to_records, run_suite
 
 CFG = TrialConfig(seed=7, trials=20)
 RELATION_CHECKS = ("torus-relation", "p2-relations", "p3-relations", "swap-table-consistency")
@@ -22,21 +29,13 @@ HOMOMORPHISM_CHECKS = (
     "antipode-homomorphism",
     "circle-delta-homomorphism",
 )
-SHARED_LOOP_CHECKS = (
-    *RELATION_CHECKS,
-    "unit-law",
-    "associativity",
-    "subalgebra-embedding",
-    "q1-degeneration",
-    *HOMOMORPHISM_CHECKS,
-    "coassociativity",
-    "counit-laws",
-    "antipode-law",
-)
+CHECKED = tuple(name for name in CHECKS if name != "oracle-equivalence")
 
 
-def _failing() -> set[str]:
-    return {r.name for r in run_suite(CFG, SHARED_LOOP_CHECKS) if r.failures}
+def _failing_and_digest() -> tuple[set[str], str]:
+    reports = run_suite(CFG, CHECKED)
+    text = json.dumps(reports_to_records(reports))
+    return {r.name for r in reports if r.failures}, hashlib.sha256(text.encode()).hexdigest()
 
 
 def _extra_phase(term):
@@ -49,9 +48,12 @@ def _extra_phase(term):
     return plant
 
 
-def _comult_phase(monkeypatch):
-    # LinearMap is a frozen dataclass, so the field is replaced in its __dict__
-    monkeypatch.setitem(comult.__dict__, "phase", ((0, 1, 1),))
+def _map_phase(fmap, phase):
+    def plant(monkeypatch):
+        # LinearMap is a frozen dataclass, so the field is replaced in its __dict__
+        monkeypatch.setitem(fmap.__dict__, "phase", phase)
+
+    return plant
 
 
 def _relation_rows(monkeypatch):
@@ -66,36 +68,100 @@ def _product_index(monkeypatch):
     monkeypatch.setattr(algebra_module, "add", lambda u, v: u + 2 * v)
 
 
+def _swapped_arguments(monkeypatch):
+    # confluence tracks g_b g_a -> g_a g_b with the phase of the opposite swap
+    monkeypatch.setattr(suite, "swap_exponent", lambda alg, a, b: swap_exponent(alg, b, a))
+
+
+NO_DEFECT_DIGEST = "d8069809461441b1564fd2e568c3848d16737a60443d0bbf110c2df5af408c27"
+
+# name: (plant, every check that fails, digest of the 21 JSON records)
 DEFECTS = {
     "phase-plus-2-sum-a": (
         _extra_phase(lambda a, b: 2 * sum(a)),
-        ("unit-law", "associativity", *HOMOMORPHISM_CHECKS),
+        (
+            "unit-law",
+            "associativity",
+            *HOMOMORPHISM_CHECKS,
+            "p2-formula-vs-relations-discrepancy",
+            "counit-non-homomorphism",
+        ),
+        "81223e2bac25783c6db9e8e162553c06e9674605be3eaf2f1e85c8a3754791eb",
     ),
     "phase-cubic-term": (
         _extra_phase(lambda a, b: a[0] * a[0] * b[0]),
-        ("subalgebra-embedding",),
+        (
+            "associativity",
+            "subalgebra-embedding",
+            "p2-formula-vs-relations-discrepancy",
+            "antipode-homomorphism",
+            "mu-represents-multiplication",
+        ),
+        "ec477148372ff5be8b5a1f873aaff9d3aa0675e5bccc8aad95a945e16b3fd380",
     ),
     "comult-phase-sign": (
-        _comult_phase,
-        ("delta-homomorphism", "coassociativity", "counit-laws", "antipode-law"),
+        _map_phase(comult, ((0, 1, 1),)),
+        (
+            "delta-homomorphism",
+            "coassociativity",
+            "counit-laws",
+            "antipode-law",
+            "derived-rules-oracle",
+        ),
+        "293e321c4cdd5b41c9b1b5b9ef4658ad680d14c3e8340ec01e76a4488432ad4b",
     ),
-    "relation-row-exponent": (_relation_rows, RELATION_CHECKS),
-    "product-index": (_product_index, ("q1-degeneration",)),
+    "mu-phase-sign": (
+        _map_phase(mult_map, ((1, 2, 2),)),
+        ("antipode-law", "mu-represents-multiplication"),
+        "2accdd6f2fb03f10f37f730ab82bcf17594df6ea0ad23ba02fa21a25d2014328",
+    ),
+    "counit-no-phase": (
+        _map_phase(counit, ()),
+        ("antipode-law", "counit-non-homomorphism"),
+        "c615f4e6a4e566d03388b2ea17ea5e42aea7738d12bbe455705505753d12d428",
+    ),
+    "relation-row-exponent": (
+        _relation_rows,
+        RELATION_CHECKS,
+        "48772514c6c4da174e57688ab3dea38dd327372cd508c5b9ea1eae25b96ec5de",
+    ),
+    "product-index": (
+        _product_index,
+        (
+            *RELATION_CHECKS,
+            "unit-law",
+            "associativity",
+            "q1-degeneration",
+            *(name for name in HOMOMORPHISM_CHECKS if name != "antipode-homomorphism"),
+            "counit-non-homomorphism",
+            "mu-represents-multiplication",
+        ),
+        "73792199d9f4fe00312020734f9ebd0ef62fecb771c6155d58b7978d55185999",
+    ),
+    "swapped-swap-arguments": (
+        _swapped_arguments,
+        ("confluence",),
+        "a3b0c84faf24eb3211f452b1629059ae168e5b5fb2cc3634d21c333ef9458f53",
+    ),
 }
 
 
 def test_shared_loop_checks_pass_without_a_defect():
-    assert _failing() == set()
+    failing, digest = _failing_and_digest()
+    assert failing == set()
+    assert digest == NO_DEFECT_DIGEST
 
 
 @pytest.mark.parametrize("defect", DEFECTS)
 def test_planted_defect_fails_the_named_checks(monkeypatch, defect):
-    plant, expected = DEFECTS[defect]
+    plant, expected, pinned = DEFECTS[defect]
     plant(monkeypatch)
-    missed = set(expected) - _failing()
-    assert not missed, f"{defect} not caught by {sorted(missed)}"
+    failing, digest = _failing_and_digest()
+    assert failing == set(expected), f"{defect} fails {sorted(failing)}"
+    assert digest == pinned, f"{defect} changed a report"
 
 
 def test_every_shared_loop_check_catches_a_planted_defect():
-    caught = {name for _, expected in DEFECTS.values() for name in expected}
-    assert caught == set(SHARED_LOOP_CHECKS)
+    caught = {name for _, expected, _ in DEFECTS.values() for name in expected}
+    assert caught == set(CHECKED)
+    assert len(CHECKED) == 21

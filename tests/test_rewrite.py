@@ -31,11 +31,23 @@ def test_word_validates_positions():
 
 
 def test_normal_order_rejects_positions_out_of_range():
-    for seq in ([(-1, 1)], [(1, 1), (-1, 1)], [(0, 2), (1, 1), (-2, 1)]):
+    for seq in (
+        [(-1, 1)],
+        [(1, 1), (-1, 1)],
+        [(0, 2), (1, 1), (-2, 1)],
+        [(2, 1)],
+        [(0, 1), (2, 1)],
+        [(5, 1), (-1, 1)],
+    ):
         with pytest.raises(ValueError, match="out of range"):
             normal_order_exponent(TORUS, seq)
-    with pytest.raises(IndexError):
-        normal_order_exponent(TORUS, [(0, 1), (2, 1)])
+
+
+def test_swap_exponent_rejects_positions_out_of_range():
+    # negative positions too, which a plain index into the swap matrix would accept
+    for a, b, bad in ((0, 2, 2), (2, 0, 2), (-1, 0, -1), (0, -1, -1), (-1, -1, -1)):
+        with pytest.raises(ValueError, match=f"position {bad} out of range"):
+            swap_exponent(TORUS, a, b)
 
 
 def test_relation_row_counts():
