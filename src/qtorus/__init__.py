@@ -21,6 +21,7 @@ from .algebra import (
     CIRCLE,
     P2,
     P3,
+    POINT,
     TORUS,
     AlgebraDescriptor,
     AlgebraElement,
@@ -76,6 +77,7 @@ __all__ = [
     "CIRCLE",
     "P2",
     "P3",
+    "POINT",
     "TORUS",
     "AlgebraDescriptor",
     "AlgebraElement",

@@ -1,45 +1,48 @@
-"""Cocycle-twisted group algebras over Z^d with exact structure constants.
+"""Cocycle-twisted group algebras over Z^d, stored as flat exact term maps.
 
-A basis monomial is indexed by an integer exponent vector; the product of two
-basis monomials is
+With s = q**(1/2) kept formal, each algebra is the group algebra over Q(i) of
+a central extension Z x_phi Z^d (Rieffel's twisted group algebra, with the
+cocycle made central).  An element is one flat dict (a, e) -> c standing for
+the sum of c * s**e * delta^a: ``a`` is the integer exponent vector of a
+basis monomial, ``e`` the s-exponent, ``c`` a nonzero Gaussian rational.  The
+one product is delta^(a,e) * delta^(b,f) = delta^(a+b, e+f+phi(a,b)), with
+phi an integer bilinear form in s-exponent units (an entry of 2 is one full
+power of q); bilinearity makes it associative, which the test suite verifies
+rather than assumes.  Sorted keys (a, e) give the canonical rendering order.
 
-    delta^a * delta^b = s**phi(a, b) * delta^(a + b)
+The scalars are the elements of the rank-0 algebra ``POINT`` (d = 0, not in
+``ALGEBRAS``), each a :class:`PhaseScalar`.  A scalar acts on every algebra
+by :meth:`AlgebraElement.scale`, which adds s-exponents and multiplies
+coefficients; that action is also the product of ``POINT``.  The algebras in
+``ALGEBRAS``: ``CIRCLE`` (commutative convolution algebra on Z), ``TORUS``
+(U V = q V U), and the deformed tensor square ``P2`` and cube ``P3`` of the
+torus.  Elements are finitely supported; identities extend to infinite sums
+by (bi)linearity.
 
-with phi an integer bilinear form stored in s-exponent units (an entry of 2
-is one full power of q).  Bilinearity of phi makes the product associative;
-that is verified by the test suite rather than assumed.
-
-Four algebras are provided: ``CIRCLE`` (commutative convolution algebra on
-Z), ``TORUS`` (generators U, V with U V = q V U), and the deformed tensor
-square ``P2`` and cube ``P3`` of the torus.  Elements are finitely supported,
-which is the subspace on which all the verified identities live; identities
-extend to infinite sums by (bi)linearity.
-
-Values are immutable and operations pure; everything is safe to share
-between threads.
+Coefficients are ``GaussianRational`` integer triples.  Values are immutable
+and operations pure; everything is safe to share between threads.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
+from math import gcd
 from operator import add
 from types import MappingProxyType
-from typing import Mapping, Union
-
-from .phases import (
-    ONE,
-    GaussianRational,
-    PhaseScalar,
-    _as_phase,
-    join_signed,
-)
+from typing import Iterator, Mapping, Union
 
 __all__ = [
+    "GaussianRational",
     "MultiIndex",
     "AlgebraDescriptor",
     "AlgebraElement",
+    "PhaseScalar",
+    "POINT",
     "CIRCLE",
     "TORUS",
     "P2",
@@ -48,7 +51,204 @@ __all__ = [
 ]
 
 MultiIndex = tuple[int, ...]
-ScalarLike = Union[int, Fraction, GaussianRational, PhaseScalar]
+RationalLike = Union[int, Fraction]
+Number = Union[int, Fraction, "GaussianRational"]
+ScalarLike = Union[Number, "PhaseScalar"]
+
+_new_object = object.__new__
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n/d in lowest terms, written without a denominator when it is 1."""
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+class GaussianRational:
+    """A complex number a + b*i with exact rational parts.
+
+    Stored as one reduced integer triple ``(re_num, im_num, den)`` standing
+    for ``(re_num + im_num*i) / den``, with ``den > 0`` and
+    ``gcd(re_num, im_num, den) == 1``.  The triple is unique for each value,
+    so equality is plain structural equality, and every operation is integer
+    arithmetic followed by one gcd, which is skipped when the denominator is 1.
+    ``re`` and ``im`` give the parts as lowest-terms ``Fraction`` values.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
+        re, im = Fraction(re), Fraction(im)
+        rd, imd = re.denominator, im.denominator
+        # the lcm of two lowest-terms denominators leaves the triple reduced
+        d = rd * imd // gcd(rd, imd)
+        self._a = re.numerator * (d // rd)
+        self._b = im.numerator * (d // imd)
+        self._d = d
+
+    @staticmethod
+    def _raw(a: int, b: int, d: int) -> "GaussianRational":
+        """The triple (a, b, d) as is; the caller guarantees the invariant."""
+        self = _new_object(GaussianRational)
+        self._a = a
+        self._b = b
+        self._d = d
+        return self
+
+    @classmethod
+    def from_value(cls, value: Number) -> "GaussianRational":
+        if isinstance(value, GaussianRational):
+            return value
+        if isinstance(value, int):
+            return cls._raw(int(value), 0, 1)
+        if isinstance(value, Fraction):
+            return cls._raw(value.numerator, 0, value.denominator)
+        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def record_parts(self) -> tuple[int, int, int, int]:
+        """(re numerator, re denominator, im numerator, im denominator), lowest terms."""
+        a, b, d = self._a, self._b, self._d
+        if d == 1:
+            return a, 1, b, 1
+        g, h = gcd(a, d), gcd(b, d)
+        return a // g, d // g, b // h, d // h
+
+    def __add__(self, other: Number) -> "GaussianRational":
+        if not isinstance(other, GaussianRational):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussianRational.from_value(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "GaussianRational":
+        return GaussianRational._raw(-self._a, -self._b, self._d)
+
+    def __sub__(self, other: Number) -> "GaussianRational":
+        if not isinstance(other, (GaussianRational, int, Fraction)):
+            return NotImplemented
+        return self + (-GaussianRational.from_value(other))
+
+    def __rsub__(self, other: Number) -> "GaussianRational":
+        return (-self) + other
+
+    def __mul__(self, other: Number) -> "GaussianRational":
+        if not isinstance(other, GaussianRational):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussianRational.from_value(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "GaussianRational":
+        # d / (a + b*i) = d*(a - b*i) / (a*a + b*b)
+        a, b, d = self._a, self._b, self._d
+        norm = a * a + b * b
+        if not norm:
+            raise ZeroDivisionError("inverse of zero Gaussian rational")
+        return _reduced(d * a, -d * b, norm)
+
+    def conjugate(self) -> "GaussianRational":
+        return GaussianRational._raw(self._a, -self._b, self._d)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, GaussianRational):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, (int, Fraction)):
+            return self._b == 0 and self._d == other.denominator and self._a == other.numerator
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # a real value hashes like the equal int or Fraction
+        if self._b == 0:
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
+
+    def __bool__(self) -> bool:
+        return bool(self._a) or bool(self._b)
+
+    def to_complex(self) -> complex:
+        return complex(self._a / self._d, self._b / self._d)
+
+    def __repr__(self) -> str:
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+    def __str__(self) -> str:
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio_str(a, d)
+        if b == d:
+            imtxt = "i"
+        elif b == -d:
+            imtxt = "-i"
+        else:
+            imtxt = f"{_ratio_str(b, d)}i"
+        if not a:
+            return imtxt
+        if b > 0:
+            imtxt = "+" + imtxt
+        return f"({_ratio_str(a, d)}{imtxt})"
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i) / d for d > 0, divided through by the common gcd."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return GaussianRational._raw(a, b, d)
+
+
+_GR_ONE = GaussianRational(1)
+_NUMBERS = (int, Fraction, GaussianRational)
+
+
+def _sorted_by_index(terms: dict) -> groupby:
+    """The flat items ((a, e), c) in canonical order, grouped by the index a."""
+    return groupby(sorted(terms.items()), lambda item: item[0][0])
+
+
+def join_signed(parts: list[str]) -> str:
+    """Join rendered terms with " + "/" - ", folding a leading minus sign."""
+    out = [parts[0]]
+    for p in parts[1:]:
+        if p.startswith("-"):
+            out.append(f" - {p[1:]}")
+        else:
+            out.append(f" + {p}")
+    return "".join(out)
+
+
+def _term_text(e: int, c: GaussianRational) -> str:
+    """c * s**e, with the power written in q (s-exponent e is q-exponent e/2)."""
+    if e == 0:
+        return str(c)
+    power = f"q^({e // 2})" if e % 2 == 0 else f"q^({e}/2)"
+    if c == 1:
+        return power
+    if c == -1:
+        return f"-{power}"
+    return f"{c}*{power}"
 
 
 @dataclass(frozen=True)
@@ -104,7 +304,7 @@ class AlgebraDescriptor:
 
     def basis(self, idx: MultiIndex) -> "AlgebraElement":
         """The basis monomial delta^idx with coefficient 1."""
-        return AlgebraElement._raw(self, {self.check_index(idx): ONE})
+        return AlgebraElement._raw(self, {(self.check_index(idx), 0): _GR_ONE})
 
     def unit(self) -> "AlgebraElement":
         return self.basis((0,) * self.d)
@@ -135,30 +335,49 @@ class AlgebraDescriptor:
 
 
 class AlgebraElement:
-    """Finitely supported exact element of one twisted algebra."""
+    """Finitely supported exact element of one twisted algebra.
 
-    __slots__ = ("algebra", "_support")
+    The terms are one flat dict ``{(index, s-exponent): nonzero coefficient}``.
+    The constructor takes the grouped form ``{index: scalar}``, where a scalar
+    is a ``PhaseScalar`` or a number; ``support`` gives that form back.
+    """
+
+    __slots__ = ("algebra", "_terms")
 
     def __init__(self, algebra: AlgebraDescriptor, support: Mapping[MultiIndex, ScalarLike]):
-        data = {}
+        if algebra is POINT:
+            raise TypeError("elements of POINT are built with PhaseScalar")
+        terms = {}
         for idx, c in dict(support).items():
             idx = algebra.check_index(idx)
-            c = _as_phase(c)
-            if c:
-                data[idx] = c
+            if not isinstance(c, PhaseScalar):
+                c = PhaseScalar(c)
+            for (_, e), v in c._terms.items():
+                terms[(idx, e)] = v
         self.algebra = algebra
-        self._support = data
+        self._terms = terms
 
-    @classmethod
-    def _raw(cls, algebra: AlgebraDescriptor, support: dict[MultiIndex, PhaseScalar]) -> "AlgebraElement":
-        self = object.__new__(cls)
+    @staticmethod
+    def _raw(algebra: AlgebraDescriptor, terms: dict) -> "AlgebraElement":
+        """The flat terms as they are, none zero; an element of ``POINT`` is a ``PhaseScalar``."""
+        self = _new_object(PhaseScalar if algebra is POINT else AlgebraElement)
         self.algebra = algebra
-        self._support = support
+        self._terms = terms
         return self
 
     @property
-    def support(self) -> Mapping[MultiIndex, PhaseScalar]:
-        return MappingProxyType(self._support)
+    def flat(self) -> Mapping[tuple[MultiIndex, int], GaussianRational]:
+        """The terms as stored: ``{(index, s-exponent): coefficient}``."""
+        return MappingProxyType(self._terms)
+
+    @property
+    def support(self) -> Mapping[MultiIndex, "PhaseScalar"]:
+        """The coefficient of each basis monomial: a view grouped anew from the
+        flat terms on each access, so hot paths read ``flat`` instead."""
+        grouped: dict[MultiIndex, dict] = {}
+        for (a, e), c in self._terms.items():
+            grouped.setdefault(a, {})[((), e)] = c
+        return MappingProxyType({a: AlgebraElement._raw(POINT, t) for a, t in grouped.items()})
 
     def _require_same_algebra(self, other: "AlgebraElement", what: str):
         if self.algebra != other.algebra:
@@ -169,35 +388,47 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        self._require_same_algebra(other, "add")
-        out = dict(self._support)
-        for idx, c in other._support.items():
-            acc = out.get(idx)
+        if other.algebra is not self.algebra:
+            self._require_same_algebra(other, "add")
+        out = dict(self._terms)
+        for key, c in other._terms.items():
+            acc = out.get(key)
             if acc is None:
-                out[idx] = c
+                out[key] = c
             else:
                 acc = acc + c
                 if acc:
-                    out[idx] = acc
+                    out[key] = acc
                 else:
-                    del out[idx]
+                    del out[key]
         return AlgebraElement._raw(self.algebra, out)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement._raw(self.algebra, {i: -c for i, c in self._support.items()})
+        return AlgebraElement._raw(self.algebra, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
         return self + (-other)
 
     def scale(self, c: ScalarLike) -> "AlgebraElement":
-        c = _as_phase(c)
-        if not c:
-            return AlgebraElement._raw(self.algebra, {})
-        return AlgebraElement._raw(
-            self.algebra, {i: c * v for i, v in self._support.items()}
-        )
+        """c * self for a scalar c: s-exponents add and coefficients multiply."""
+        if not isinstance(c, PhaseScalar):
+            c = PhaseScalar(c)
+        terms = self._terms
+        if len(c._terms) == 1:  # no merges: each term keeps its own key
+            ((_, f), w), = c._terms.items()
+            if w == _GR_ONE:
+                out = {(a, e + f): v for (a, e), v in terms.items()} if f else terms
+            else:
+                out = {(a, e + f): w * v for (a, e), v in terms.items()}
+            return AlgebraElement._raw(self.algebra, out)
+        out = {}
+        for (_, f), w in c._terms.items():
+            for (a, e), v in terms.items():
+                key = (a, e + f)
+                p = w * v
+                acc = out.get(key)
+                out[key] = p if acc is None else acc + p
+        return AlgebraElement._raw(self.algebra, {k: v for k, v in out.items() if v})
 
     def __mul__(self, other: "AlgebraElement | ScalarLike") -> "AlgebraElement":
         if isinstance(other, AlgebraElement):
@@ -205,56 +436,60 @@ class AlgebraElement:
             if other.algebra is not algebra:
                 self._require_same_algebra(other, "multiply")
             phase_exponent = algebra.phase_exponent
-            out: dict[MultiIndex, PhaseScalar] = {}
-            for a, ca in self._support.items():
-                times = ca._times
-                for b, cb in other._support.items():
-                    idx = tuple(map(add, a, b))
-                    c = times(cb, phase_exponent(a, b))
-                    acc = out.get(idx)
-                    out[idx] = c if acc is None else acc + c
-            return AlgebraElement._raw(algebra, {i: c for i, c in out.items() if c})
-        if isinstance(other, (int, Fraction, GaussianRational, PhaseScalar)):
+            out = {}
+            for (a, e), c in self._terms.items():
+                for (b, f), d in other._terms.items():
+                    key = (tuple(map(add, a, b)), e + f + phase_exponent(a, b))
+                    p = d if c is _GR_ONE else c * d
+                    acc = out.get(key)
+                    out[key] = p if acc is None else acc + p
+            return AlgebraElement._raw(algebra, {k: c for k, c in out.items() if c})
+        if isinstance(other, _NUMBERS):
             return self.scale(other)
         return NotImplemented
 
     def __rmul__(self, other: ScalarLike) -> "AlgebraElement":
-        if isinstance(other, (int, Fraction, GaussianRational, PhaseScalar)):
+        if isinstance(other, _NUMBERS):
             return self.scale(other)
         return NotImplemented
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.algebra == other.algebra and self._support == other._support
+        return self.algebra == other.algebra and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.algebra.name, frozenset(self._support.items())))
+        return hash((self.algebra.name, frozenset(self._terms.items())))
 
     def __bool__(self) -> bool:
-        return bool(self._support)
+        return bool(self._terms)
 
     def eval_numeric(self, theta: float) -> dict[MultiIndex, complex]:
-        """Coefficientwise numeric evaluation at q = exp(2*pi*i*theta)."""
-        return {idx: c.eval_numeric(theta) for idx, c in self._support.items()}
+        """Coefficientwise evaluation at s = exp(i*pi*theta), i.e. q = exp(2*pi*i*theta)."""
+        # s has period 2 in theta; the reduction is exact and keeps pi*theta finite
+        base = cmath.exp(1j * math.pi * math.fmod(theta, 2.0))
+        out: dict[MultiIndex, complex] = {}
+        for (a, e), c in self._terms.items():
+            out[a] = out.get(a, 0j) + c.to_complex() * base**e
+        return out
 
     def render(self) -> str:
-        """Canonical text: terms sorted by index, zero exponents omitted."""
-        if not self._support:
+        """Canonical text: terms sorted by index, then by s-exponent; zero exponents omitted."""
+        if not self._terms:
             return "0"
         monomial_text = self.algebra.monomial_text
         parts = []
-        for idx in sorted(self._support):
-            c = self._support[idx]
-            gens = monomial_text(idx)
+        for a, group in _sorted_by_index(self._terms):
+            scalar = [_term_text(e, c) for (_, e), c in group]
+            ctxt = join_signed(scalar)
+            gens = monomial_text(a)
             if not gens:
-                parts.append(c.render())
-            elif c == ONE:
+                parts.append(ctxt)
+            elif ctxt == "1":
                 parts.append(gens)
+            elif len(scalar) > 1:
+                parts.append(f"({ctxt}) * {gens}")
             else:
-                ctxt = c.render()
-                if len(c.terms) > 1:
-                    ctxt = f"({ctxt})"
                 parts.append(f"{ctxt} * {gens}")
         return join_signed(parts)
 
@@ -265,20 +500,115 @@ class AlgebraElement:
 
     def to_records(self) -> list:
         """Machine-readable form: [[index, [[s-exp, re-num, re-den, im-num, im-den], ...]], ...]."""
-        return [[list(idx), self._support[idx].to_records()] for idx in sorted(self._support)]
+        return [
+            [list(a), [[e, *c.record_parts()] for (_, e), c in group]]
+            for a, group in _sorted_by_index(self._terms)
+        ]
 
     @classmethod
     def from_records(cls, algebra: AlgebraDescriptor, records: list) -> "AlgebraElement":
-        support = {}
-        for idx, terms in records:
-            coeff = PhaseScalar(
-                {
-                    int(e): GaussianRational(Fraction(rn, rd), Fraction(imn, imd))
-                    for e, rn, rd, imn, imd in terms
-                }
-            )
-            support[tuple(idx)] = coeff
-        return cls(algebra, support)
+        terms = {}
+        for idx, coeff in records:
+            idx = algebra.check_index(idx)
+            for e, rn, rd, imn, imd in coeff:
+                c = GaussianRational(Fraction(rn, rd), Fraction(imn, imd))
+                terms[(idx, int(e))] = c
+        return AlgebraElement._raw(algebra, {k: c for k, c in terms.items() if c})
+
+
+class PhaseScalar(AlgebraElement):
+    """An element of ``POINT``: a Laurent polynomial in s over Gaussian rationals.
+
+    The term c*s**e, i.e. c*q**(e/2), has the key ((), e).  This class adds
+    only what is specific to scalars: construction from ``{e: c}`` or a
+    number, the view by s-exponent, mixed arithmetic, equality and hashing
+    with numbers, the action on every algebra, inverse and powers, one
+    number from ``eval_numeric``, and its own records and repr.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, terms: Mapping[int, Number] | Number = ()):
+        if isinstance(terms, _NUMBERS):
+            terms = {0: terms}
+        flat = {}
+        for e, c in dict(terms).items():
+            if not isinstance(e, int):
+                raise TypeError(f"s-exponent must be an integer, got {e!r}")
+            c = GaussianRational.from_value(c)
+            if c:
+                flat[((), e)] = c
+        self.algebra = POINT
+        self._terms = flat
+
+    @property
+    def terms(self) -> Mapping[int, GaussianRational]:
+        return MappingProxyType(dict(self.items()))
+
+    def items(self) -> Iterator[tuple[int, GaussianRational]]:
+        return ((e, c) for (_, e), c in self._terms.items())
+
+    def as_monomial(self) -> tuple[int, GaussianRational] | None:
+        """Return (s-exponent, coefficient) if this is a single term, else None."""
+        return next(self.items()) if len(self._terms) == 1 else None
+
+    def __add__(self, other: ScalarLike) -> "PhaseScalar":
+        if isinstance(other, _NUMBERS):
+            other = PhaseScalar(other)
+        return AlgebraElement.__add__(self, other)
+
+    __radd__ = __add__
+
+    def __rsub__(self, other: ScalarLike) -> "PhaseScalar":
+        return (-self) + other
+
+    def __mul__(self, other: "AlgebraElement | ScalarLike") -> "AlgebraElement":
+        """Scalars are central: a product with a scalar scales the other factor."""
+        if isinstance(other, AlgebraElement):
+            return other.scale(self)
+        if isinstance(other, _NUMBERS):
+            return self.scale(other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "PhaseScalar":
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = PhaseScalar(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def inverse(self) -> "PhaseScalar":
+        mono = self.as_monomial()
+        if mono is None:
+            raise ValueError("only single-term phase scalars are invertible")
+        e, c = mono
+        return PhaseScalar({-e: c.inverse()})
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _NUMBERS):
+            other = PhaseScalar(other)
+        return AlgebraElement.__eq__(self, other)
+
+    def __hash__(self) -> int:
+        # a constant hashes like its coefficient, which it compares equal to
+        terms = self._terms
+        if len(terms) == 1 and ((), 0) in terms:
+            return hash(terms[((), 0)])
+        return hash(frozenset(self.items())) if terms else 0
+
+    def eval_numeric(self, theta: float) -> complex:
+        """Evaluate at s = exp(i*pi*theta), i.e. q = exp(2*pi*i*theta)."""
+        return AlgebraElement.eval_numeric(self, theta).get((), 0j)
+
+    def to_records(self) -> list:
+        """Machine-readable form: [[s-exp, re-num, re-den, im-num, im-den], ...]."""
+        return [[e, *c.record_parts()] for (_, e), c in sorted(self._terms.items())]
+
+    def __repr__(self) -> str:
+        return f"PhaseScalar({dict(sorted(self.items()))!r})"
 
 
 def _cocycle_matrix(d: int, entries: dict[tuple[int, int], int]) -> tuple[tuple[int, ...], ...]:
@@ -290,6 +620,9 @@ def _cocycle_matrix(d: int, entries: dict[tuple[int, int], int]) -> tuple[tuple[
 
 # Structure constants in s-exponent units.  In each case the only nonzero
 # entries say how a later generator moves past an earlier one.
+
+# The rank-0 algebra of the scalars: one basis monomial, no twist.
+POINT = AlgebraDescriptor("point", (), ())
 
 # Convolution algebra on Z: commutative, no twist.
 CIRCLE = AlgebraDescriptor("circle", ("z",), _cocycle_matrix(1, {}))

@@ -43,7 +43,7 @@ def parse_expression(algebra: AlgebraDescriptor, text: str) -> AlgebraElement:
     the generators of ``algebra``; a scalar result is lifted into the algebra.
     """
     value = parse_tokens(tokenize(text, algebra.generator_names), len(text), algebra)
-    return value if isinstance(value, AlgebraElement) else algebra.unit().scale(value)
+    return algebra.unit().scale(value) if isinstance(value, PhaseScalar) else value
 
 
 def _algebra_from_name(name: str) -> AlgebraDescriptor:

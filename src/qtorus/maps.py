@@ -10,7 +10,7 @@ a map is the integer data (A, P), extended linearly; since elements have
 finite support the extension is a finite sum.  The maps:
 
 * ``comult``          torus -> p2,  U |-> U1 U2, V |-> V1 V2 (an algebra map)
-* ``counit``          torus -> scalars,  U^k V^l |-> q^(k l / 2)
+* ``counit``          torus -> POINT (the scalars),  U^k V^l |-> q^(k l / 2)
 * ``antipode``        torus -> torus,  U |-> U^-1, V |-> V^-1 (an algebra map)
 * ``mult_map``        p2 -> torus, collapses the two factors
 * ``lift_left_comult`` / ``lift_right_comult``    p2 -> p3, comult on one factor
@@ -33,8 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .phases import ONE, ZERO, PhaseScalar
-from .algebra import CIRCLE, P2, P3, TORUS, AlgebraDescriptor, AlgebraElement
+from .algebra import CIRCLE, P2, P3, POINT, TORUS, AlgebraDescriptor, AlgebraElement
 
 __all__ = [
     "LinearMap",
@@ -61,24 +60,27 @@ class LinearMap:
     """The linear extension of delta^a |-> s**P(a) * delta^(A a).
 
     ``matrix`` is A: one row of ``source.d`` integers per target generator.
-    A scalar-valued map has ``target`` None and no rows, and returns a
+    A scalar-valued map targets ``POINT``, has no rows, and returns a
     ``PhaseScalar``.  ``phase`` is the quadratic part of P as sparse entries
     (i, j, m), each meaning m * a[i] * a[j]; ``linear`` is its linear part,
-    empty or one integer per source generator.  Applying the map is the
-    coefficient-weighted sum of the basis images over the support, so
+    empty or one integer per source generator.  Applying the map moves each
+    flat term (a, e) -> c to (A a, e + P(a)) -> c and merges the results, so
     f(x + c*y) = f(x) + c*f(y) by construction.
     """
 
     name: str
     source: AlgebraDescriptor
-    target: AlgebraDescriptor | None
+    target: AlgebraDescriptor
     matrix: tuple[tuple[int, ...], ...]
     phase: tuple[tuple[int, int, int], ...] = ()
     linear: tuple[int, ...] = ()
 
     def __post_init__(self):
         d = self.source.d
-        rows = 0 if self.target is None else self.target.d
+        if not isinstance(self.target, AlgebraDescriptor):
+            raise ValueError(f"map {self.name!r} must target an algebra; a scalar-valued "
+                             f"map targets POINT, and its matrix must be 0x{d}")
+        rows = self.target.d
         if len(self.matrix) != rows or any(len(row) != d for row in self.matrix):
             raise ValueError(f"matrix of map {self.name!r} must be {rows}x{d}")
         if not all(0 <= i < d and 0 <= j < d for i, j, _ in self.phase):
@@ -86,33 +88,27 @@ class LinearMap:
         if len(self.linear) not in (0, d):
             raise ValueError(f"linear phase of map {self.name!r} must be empty or of length {d}")
 
-    def __call__(self, x: AlgebraElement) -> AlgebraElement | PhaseScalar:
-        if not isinstance(x, AlgebraElement):
-            raise TypeError(f"map {self.name!r} applies to algebra elements")
+    def __call__(self, x: AlgebraElement) -> AlgebraElement:
+        if not isinstance(x, AlgebraElement) or x.algebra is POINT:
+            raise TypeError(f"map {self.name!r} applies to algebra elements, not scalars")
         if x.algebra != self.source:
             raise ValueError(
                 f"map {self.name!r} expects elements of {self.source.name!r}, "
                 f"got {x.algebra.name!r}"
             )
         matrix, phase, linear = self.matrix, self.phase, self.linear
-        shift = ONE._times  # shift(c, e) is c * s**e
         out = {}
-        for a, c in x.support.items():
-            e = sum(map(mul, linear, a))
+        for (a, e), c in x.flat.items():
+            e += sum(map(mul, linear, a))
             for i, j, m in phase:
                 e += m * a[i] * a[j]
-            jdx = tuple([sum(map(mul, row, a)) for row in matrix])
-            c = shift(c, e)
-            acc = out.get(jdx)
-            out[jdx] = c if acc is None else acc + c
-        out = {i: c for i, c in out.items() if c}
-        if self.target is None:
-            return out.get((), ZERO)
-        return AlgebraElement._raw(self.target, out)
+            key = (tuple([sum(map(mul, row, a)) for row in matrix]), e)
+            acc = out.get(key)
+            out[key] = c if acc is None else acc + c
+        return AlgebraElement._raw(self.target, {k: c for k, c in out.items() if c})
 
     def __repr__(self) -> str:
-        tgt = self.target.name if self.target is not None else "scalar"
-        return f"LinearMap({self.name!r}: {self.source.name} -> {tgt})"
+        return f"LinearMap({self.name!r}: {self.source.name} -> {self.target.name})"
 
 
 # The maps as data.  Source indices are written (k, l) on the torus,
@@ -121,7 +117,7 @@ class LinearMap:
 comult = LinearMap(  # s^(-kl) (k, l, k, l)
     "delta", TORUS, P2, ((1, 0), (0, 1), (1, 0), (0, 1)), phase=((0, 1, -1),)
 )
-counit = LinearMap("epsilon", TORUS, None, (), phase=((0, 1, 1),))  # s^(kl)
+counit = LinearMap("epsilon", TORUS, POINT, (), phase=((0, 1, 1),))  # s^(kl)
 # U^-k V^-l is already normal-ordered, so no phase arises
 antipode = LinearMap("S", TORUS, TORUS, ((-1, 0), (0, -1)))  # (-k, -l)
 # U^k V^l U^m V^n = q^(-l m) U^(k+m) V^(l+n)
