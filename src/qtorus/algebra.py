@@ -443,6 +443,10 @@ class AlgebraElement:
                     p = d if c is _GR_ONE else c * d
                     acc = out.get(key)
                     out[key] = p if acc is None else acc + p
+            # no key merged, so no sum could cancel: a product of nonzero
+            # Gaussian rationals is never zero
+            if len(out) == len(self._terms) * len(other._terms):
+                return AlgebraElement._raw(algebra, out)
             return AlgebraElement._raw(algebra, {k: c for k, c in out.items() if c})
         if isinstance(other, _NUMBERS):
             return self.scale(other)

@@ -1,11 +1,12 @@
 """Normal ordering of generator words from the q-commutation tables alone.
 
 This is an independent oracle for the cocycle-based product: a word in the
-generators is sorted into the canonical order U1 < V1 < U2 < V2 < U3 < V3 by
-a stable insertion sort that shifts each letter left past the later
-generators before it.  Each letter passed is one adjacent swap, and its phase
-is read from the swap matrix of the ambient algebra, which is built once, at
-import, from its relation rows (``RELATION_ROWS``) alone.
+generators is brought into the canonical order U1 < V1 < U2 < V2 < U3 < V3 in
+one pass that keeps the running power of each generator.  A letter pays, for
+every earlier letter at a later position, the phase of moving past it, read
+from the swap matrix of the ambient algebra, which is built once, at import,
+from its relation rows (``RELATION_ROWS``) alone.  Those are exactly the
+adjacent swaps of a stable sort, so the sum is the sort's phase.
 Nothing here touches the cocycle matrices, so agreement between
 :func:`normal_order` and ``AlgebraElement.__mul__`` is a genuine cross-check.
 
@@ -131,6 +132,16 @@ _SWAP: dict[str, tuple[tuple[int, ...], ...]] = {
     name: _swap_matrix(rows, ALGEBRAS[name].d) for name, rows in RELATION_ROWS.items()
 }
 
+# For each position b, the pairs (a, m[a][b]) with a > b and m[a][b] != 0: the
+# later generators a letter at b moves past, and the phase of each move.  A
+# dict, so a position outside the algebra, negative ones too, is a KeyError.
+_PASSES: dict[str, dict[int, tuple[tuple[int, int], ...]]] = {
+    name: {
+        b: tuple((a, m[a][b]) for a in range(b + 1, len(m)) if m[a][b]) for b in range(len(m))
+    }
+    for name, m in _SWAP.items()
+}
+
 
 def _position_error(algebra: AlgebraDescriptor, positions: Iterable[int]) -> ValueError:
     bad = next(p for p in positions if not 0 <= p < algebra.d)
@@ -158,42 +169,26 @@ def normal_order_exponent(
 ) -> tuple[int, MultiIndex]:
     """Core routine on raw (position, power) pairs; returns (s-exponent, index).
 
-    Stable insertion sort by shifting: each letter (b, r) moves left past
-    the letters (a, p) with a > b before it, which shift one place right.
-    Moving past one such letter is the adjacent swap g_a^p g_b^r ->
-    g_b^r g_a^p, which contributes ``e(a, b) * p * r``, read from the swap
-    matrix of the relation rows (``rows[a][b]``).  Equal positions never
-    swap, so the swaps and the exponent are those of adjacent-swap bubble
-    sort.  Inverses are negative powers; like generators merge by adding
-    their powers.  A position outside the algebra raises ``ValueError``.
+    One pass with running power sums: a letter (b, r) adds
+    ``r * sum(rows[a][b] * powers[a] for a > b)``, where ``powers[a]`` is the
+    total power of the earlier letters at a, and then ``powers[b] += r``.
+    That is the phase of a stable sort: the letter moves left past each
+    earlier letter (a, p) with a > b exactly once, the adjacent swap
+    g_a^p g_b^r -> g_b^r g_a^p contributing ``rows[a][b] * p * r``, and equal
+    positions never swap.  ``rows`` is the swap matrix of the relation rows.
+    Inverses are negative powers; like generators merge by adding their
+    powers.  A position outside the algebra raises ``ValueError``.
     """
-    rows = _SWAP[algebra.name]
-    arr = list(seq)
+    passes = _PASSES[algebra.name]
+    powers = [0] * len(passes)
     exponent = 0
-    powers = [0] * algebra.d
     try:
-        for i, letter in enumerate(arr):
-            b, r = letter
+        for b, r in seq:
+            for a, e in passes[b]:
+                exponent += e * powers[a] * r
             powers[b] += r
-            j = i
-            passed = 0
-            while j:
-                prev = arr[j - 1]
-                a = prev[0]
-                if a <= b:
-                    break
-                passed += rows[a][b] * prev[1]
-                arr[j] = prev
-                j -= 1
-            if j != i:
-                arr[j] = letter
-                exponent += passed * r
-    except IndexError:  # a position past the last generator, at powers[b]
+    except KeyError:
         raise _position_error(algebra, (p for p, _ in seq)) from None
-    # The sorted word starts with its smallest position, so one look finds a
-    # negative one, which indexed from the end above.
-    if arr and arr[0][0] < 0:
-        raise _position_error(algebra, (p for p, _ in seq))
     return exponent, tuple(powers)
 
 

@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .phases import ONE, GaussianRational, phase_pow
 from .algebra import (
+    _GR_ONE,
     ALGEBRAS,
     P2,
     P3,
@@ -331,13 +332,11 @@ def _oracle_pair_failure(
     algebra: AlgebraDescriptor,
     a: MultiIndex,
     b: MultiIndex,
-    xa: AlgebraElement,
-    xb: AlgebraElement,
-    seq: Sequence[tuple[int, int]],
-    with_probes: bool,
+    prod: AlgebraElement,
+    exponent: int,
+    idx: MultiIndex,
 ) -> str | None:
-    prod = xa * xb
-    exponent, idx = normal_order_exponent(algebra, seq)
+    """The failure of a pair that disagrees or is probed, None if it passes."""
     if prod.flat != {(idx, exponent): 1}:
         if len(prod.support) != 1:
             return f"{algebra.name} {a}x{b}: product is not a monomial"
@@ -345,21 +344,16 @@ def _oracle_pair_failure(
             f"{algebra.name} {a}x{b}: product {prod.render()} vs "
             f"rewriting s^{exponent} delta^{idx}"
         )
-    if with_probes:
-        for theta in THETA_PROBES:
-            gap = abs(prod.eval_numeric(theta)[idx] - phase_pow(exponent).eval_numeric(theta))
-            if gap > NUMERIC_TOL:
-                return f"{algebra.name} {a}x{b}: numeric gap {gap:.3e} at theta={theta}"
+    for theta in THETA_PROBES:
+        gap = abs(prod.eval_numeric(theta)[idx] - phase_pow(exponent).eval_numeric(theta))
+        if gap > NUMERIC_TOL:
+            return f"{algebra.name} {a}x{b}: numeric gap {gap:.3e} at theta={theta}"
     return None
 
 
-def _oracle_equivalence(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcome]:
-    """Cocycle product vs normal ordering: exhaustive for d=2,4, random for d=6.
-
-    Every 97th pair is also compared at the numeric probes: the product's
-    own evaluation against that of the rewriting's phase s^e.
-    """
-    probes = itertools.cycle([False] * 96 + [True])
+def _oracle_pairs(cfg: TrialConfig, rng: random.Random) -> Iterator[tuple]:
+    """(algebra, a, b, delta^a, delta^b, word of a then b): the box [-2,2]^d
+    squared for d=2,4, then random pairs for d=6."""
     for algebra in (TORUS, P2):
         idxs = _box(2, algebra.d)
         seqs = {a: tuple((p, k) for p, k in enumerate(a) if k) for a in idxs}
@@ -367,12 +361,30 @@ def _oracle_equivalence(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcom
         for a in idxs:
             xa, sa = basis[a], seqs[a]
             for b in idxs:
-                yield _oracle_pair_failure(algebra, a, b, xa, basis[b], sa + seqs[b], next(probes))
+                yield algebra, a, b, xa, basis[b], sa + seqs[b]
     for _ in range(max(1000, cfg.trials)):
         a = tuple(rng.randint(-2, 2) for _ in range(6))
         b = tuple(rng.randint(-2, 2) for _ in range(6))
         seq = [(p, k) for x in (a, b) for p, k in enumerate(x) if k]
-        yield _oracle_pair_failure(P3, a, b, P3.basis(a), P3.basis(b), seq, next(probes))
+        yield P3, a, b, P3.basis(a), P3.basis(b), seq
+
+
+def _oracle_equivalence(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcome]:
+    """Cocycle product vs normal ordering: exhaustive for d=2,4, random for d=6.
+
+    Every 97th pair is also compared at the numeric probes: the product's
+    own evaluation against that of the rewriting's phase s^e.  Other pairs
+    pass on one dict comparison, which finds the basis coefficient
+    ``_GR_ONE`` by identity.
+    """
+    probes = itertools.cycle([False] * 96 + [True])
+    for algebra, a, b, xa, xb, seq in _oracle_pairs(cfg, rng):
+        prod = xa * xb
+        exponent, idx = normal_order_exponent(algebra, seq)
+        if next(probes) or prod._terms != {(idx, exponent): _GR_ONE}:
+            yield _oracle_pair_failure(algebra, a, b, prod, exponent, idx)
+        else:
+            yield None
 
 
 def _confluence(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcome]:

@@ -43,6 +43,37 @@ def test_normal_order_rejects_positions_out_of_range():
             normal_order_exponent(TORUS, seq)
 
 
+@pytest.mark.parametrize("algebra", [P2, P3], ids=["p2", "p3"])
+def test_normal_order_rejects_positions_out_of_range_in_p2_p3(algebra):
+    d = algebra.d
+    for seq, bad in (
+        ([(-1, 1)], -1),
+        ([(d, 1)], d),
+        ([(0, 1), (d - 1, 2), (d, 1)], d),
+        ([(d - 1, 1), (1, -1), (-d, 1)], -d),
+        ([(2, 1), (0, 3), (-1, 2), (d + 3, 1)], -1),
+    ):
+        before = list(seq)
+        with pytest.raises(ValueError, match=f"position {bad} out of range for {algebra.name!r}"):
+            normal_order_exponent(algebra, seq)
+        assert seq == before
+
+
+def test_normal_order_of_the_empty_word():
+    for algebra in ALGEBRAS.values():
+        assert normal_order_exponent(algebra, []) == (0, (0,) * algebra.d)
+
+
+def test_normal_order_of_the_last_generator_alone_has_no_phase():
+    # the last generator never moves past a later one
+    for algebra in ALGEBRAS.values():
+        last = algebra.d - 1
+        powers = [0] * algebra.d
+        powers[last] = 2
+        seq = [(last, 3), (last, -2), (last, 1)]
+        assert normal_order_exponent(algebra, seq) == (0, tuple(powers))
+
+
 def test_swap_exponent_rejects_positions_out_of_range():
     # negative positions too, which a plain index into the swap matrix would accept
     for a, b, bad in ((0, 2, 2), (2, 0, 2), (-1, 0, -1), (0, -1, -1), (-1, -1, -1)):
