@@ -144,7 +144,7 @@ _PASSES: dict[str, dict[int, tuple[tuple[int, int], ...]]] = {
 
 
 def _position_error(algebra: AlgebraDescriptor, positions: Iterable[int]) -> ValueError:
-    bad = next(p for p in positions if not 0 <= p < algebra.d)
+    bad = next(p for p in positions if p not in range(algebra.d))
     return ValueError(f"generator position {bad} out of range for {algebra.name!r}")
 
 

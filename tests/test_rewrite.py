@@ -59,6 +59,12 @@ def test_normal_order_rejects_positions_out_of_range_in_p2_p3(algebra):
         assert seq == before
 
 
+def test_normal_order_rejects_a_position_that_is_not_an_integer():
+    for bad in (0.5, None):
+        with pytest.raises(ValueError, match=f"position {bad} out of range"):
+            normal_order_exponent(TORUS, [(0, 1), (bad, 1)])
+
+
 def test_normal_order_of_the_empty_word():
     for algebra in ALGEBRAS.values():
         assert normal_order_exponent(algebra, []) == (0, (0,) * algebra.d)

@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -32,16 +33,10 @@ SIDES = ("parent", "change")
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
-    """q1, median and q3 by linear interpolation between the sorted values."""
-    xs = sorted(values)
-
-    def at(q: float) -> float:
-        pos = q * (len(xs) - 1)
-        lo = int(pos)
-        hi = min(lo + 1, len(xs) - 1)
-        return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
-
-    return at(0.25), at(0.5), at(0.75)
+    """q1, median and q3, interpolating linearly between the sorted values."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
 def summarise(runs: list[dict]) -> dict:
