@@ -5,11 +5,12 @@ Usage, from the root of a checkout::
     python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --seed 8128 --out BENCH_9.json
 
 The parent revision is exported with ``git archive`` into a temporary
-directory.  For each workload of ``BENCHMARK.json`` the script then runs
+directory.  For every workload of ``BENCHMARK.json`` the script then runs
 that tree's own ``perfbench/run.py`` and the working tree's, one after the
 other, ``--pairs`` times; the order within a pair alternates, so neither side
 always runs first.  Each run is ``run.py --workload W --seed S --seconds T
---trace 0``, and its last output line (one JSON object) is kept.
+--trace 0`` with T the ``run_seconds`` of ``BENCHMARK.json``, and its last
+output line (one JSON object) is kept.
 
 The output file holds every run's metrics and, for each workload and
 metric, the parent's and the change's q1, median and q3, the ratio of the
@@ -110,12 +111,12 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=8128)
-    parser.add_argument("--seconds", type=int, default=30)
-    parser.add_argument("--workload", action="append", help="default: every workload")
     parser.add_argument("--out", required=True, help="output file, e.g. BENCH_9.json")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        workloads = args.workload or [w["name"] for w in json.load(f)["workloads"]]
+        bench = json.load(f)
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
 
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -125,7 +126,7 @@ def main(argv=None) -> int:
             for pair in range(args.pairs):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    run = _run(trees[side], workload, args.seed, args.seconds)
+                    run = _run(trees[side], workload, args.seed, seconds)
                     run.update(workload=workload, pair=pair, side=side)
                     runs.append(run)
                     print(f"{workload} pair {pair} {side}: op_cal={run['metrics']['op_cal']:.4g}"
@@ -133,7 +134,7 @@ def main(argv=None) -> int:
 
     result = {
         "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds} --trace 0",
+                   f"--seconds {seconds} --trace 0",
         "parent": parent_sha,
         "change": {"head": _git("rev-parse", "HEAD"), "dirty": bool(_git("status", "--porcelain"))},
         "pairs": args.pairs,
