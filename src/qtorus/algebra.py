@@ -431,21 +431,40 @@ class AlgebraElement:
         return AlgebraElement._raw(self.algebra, {k: v for k, v in out.items() if v})
 
     def __mul__(self, other: "AlgebraElement | ScalarLike") -> "AlgebraElement":
+        """The product; a number scales.  ``a + b`` and ``phi(a, b)`` are found
+        once per pair of index runs (adjacent flat terms sharing an index), the
+        coefficients multiplied once per pair of flat terms.  Output terms keep
+        the order of the nested loop over flat terms: ``eval_numeric`` sums
+        each index's terms in insertion order."""
         if isinstance(other, AlgebraElement):
             algebra = self.algebra
             if other.algebra is not algebra:
                 self._require_same_algebra(other, "multiply")
             phase_exponent = algebra.phase_exponent
+            left, right = self._terms, other._terms
+            if len(left) == 1 == len(right):
+                ((a, e), c), = left.items()
+                ((b, f), d), = right.items()
+                key = (tuple(map(add, a, b)), e + f + phase_exponent(a, b))
+                return AlgebraElement._raw(algebra, {key: d if c is _GR_ONE else c * d})
             out = {}
-            for (a, e), c in self._terms.items():
-                for (b, f), d in other._terms.items():
-                    key = (tuple(map(add, a, b)), e + f + phase_exponent(a, b))
+            a_run = None
+            for (a, e), c in left.items():
+                if a != a_run:
+                    # one row per left index run: (a + b, f + phi(a, b), d) per right term
+                    a_run, b_run, row = a, None, []
+                    for (b, f), d in right.items():
+                        if b != b_run:
+                            b_run, ab, g = b, tuple(map(add, a, b)), phase_exponent(a, b)
+                        row.append((ab, f + g, d))
+                for ab, g, d in row:
+                    key = (ab, e + g)
                     p = d if c is _GR_ONE else c * d
                     acc = out.get(key)
                     out[key] = p if acc is None else acc + p
             # no key merged, so no sum could cancel: a product of nonzero
             # Gaussian rationals is never zero
-            if len(out) == len(self._terms) * len(other._terms):
+            if len(out) == len(left) * len(right):
                 return AlgebraElement._raw(algebra, out)
             return AlgebraElement._raw(algebra, {k: c for k, c in out.items() if c})
         if isinstance(other, _NUMBERS):

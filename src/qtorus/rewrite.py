@@ -45,8 +45,8 @@ class GeneratorSymbol:
     power: int
 
     def __post_init__(self):
-        if self.power == 0:
-            raise ValueError("generator power must be nonzero")
+        if not isinstance(self.power, int) or self.power == 0:
+            raise ValueError(f"generator power must be a nonzero integer, got {self.power!r}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,7 @@ class Word:
     letters: tuple[GeneratorSymbol, ...]
 
     def __post_init__(self):
-        if not all(0 <= g.position < self.algebra.d for g in self.letters):
-            raise _position_error(self.algebra, (g.position for g in self.letters))
+        _check_positions(self.algebra, (g.position for g in self.letters))
 
     def __mul__(self, other: "Word") -> "Word":
         if self.algebra != other.algebra:
@@ -143,15 +142,17 @@ _PASSES: dict[str, dict[int, tuple[tuple[int, int], ...]]] = {
 }
 
 
-def _position_error(algebra: AlgebraDescriptor, positions: Iterable[int]) -> ValueError:
-    bad = next(p for p in positions if p not in range(algebra.d))
-    return ValueError(f"generator position {bad} out of range for {algebra.name!r}")
+def _check_positions(algebra: AlgebraDescriptor, positions: Iterable[int]) -> None:
+    """Raise ValueError for the first position that is not an int in ``range(d)``."""
+    for p in positions:
+        # the int test first: 1.0 in range(2) holds
+        if not isinstance(p, int) or p not in range(algebra.d):
+            raise ValueError(f"generator position {p} out of range for {algebra.name!r}") from None
 
 
 def swap_exponent(algebra: AlgebraDescriptor, a: int, b: int) -> int:
     """s-exponent e with g_a g_b = s**e g_b g_a (antisymmetric in a, b)."""
-    if not (0 <= a < algebra.d and 0 <= b < algebra.d):
-        raise _position_error(algebra, (a, b))
+    _check_positions(algebra, (a, b))
     return _SWAP[algebra.name][a][b]
 
 
@@ -187,8 +188,11 @@ def normal_order_exponent(
             for a, e in passes[b]:
                 exponent += e * powers[a] * r
             powers[b] += r
-    except KeyError:
-        raise _position_error(algebra, (p for p, _ in seq)) from None
+    except (KeyError, TypeError):
+        # 1.0 finds passes[1], then fails as a list index; with every position
+        # good (a None power, say) the original error stands
+        _check_positions(algebra, (p for p, _ in seq))
+        raise
     return exponent, tuple(powers)
 
 

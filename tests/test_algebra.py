@@ -14,6 +14,7 @@ from qtorus.algebra import (
     P2,
     P3,
     TORUS,
+    AlgebraDescriptor,
     AlgebraElement,
 )
 from qtorus.rewrite import normal_order, word_of_index
@@ -290,3 +291,94 @@ pairs_of_elements = st.sampled_from(list(ALGEBRAS.values())).flatmap(
 def test_product_matches_its_term_by_term_definition(pair):
     x, y = pair
     assert _raw(x * y) == _product_by_definition(x, y)
+
+
+# --- the product's work and output order ---
+
+def _two_powers(algebra, indices):
+    """An element whose coefficient at each index has two s-powers."""
+    return AlgebraElement(algebra, {
+        a: PhaseScalar({k: GaussianRational(k + 2, 1), k + 3: Fraction(-1, k + 2)})
+        for k, a in enumerate(indices)
+    })
+
+
+def test_product_finds_the_phase_once_per_pair_of_index_runs(monkeypatch):
+    x = _two_powers(P2, [(1, 0, 0, 0), (0, 1, -1, 0), (2, -1, 0, 1)])
+    y = _two_powers(P2, [(0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1), (-1, 2, 0, -2)])
+    assert len(x.flat) == 6 and len(y.flat) == 8
+    calls = []
+    phase_exponent = AlgebraDescriptor.phase_exponent
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return phase_exponent(self, a, b)
+
+    monkeypatch.setattr(AlgebraDescriptor, "phase_exponent", counting)
+    prod = x * y
+    # one call per pair of the 3 x 4 indices, not per pair of the 6 x 8 flat terms
+    assert len(calls) == 12
+    assert len(set(calls)) == 12
+    assert _raw(prod) == _product_by_definition(x, y)
+
+
+def _nested_loop_order(x, y):
+    """Keys of x * y in first-occurrence order of the left-flat by right-flat loop."""
+    order = {}
+    for a, e in x.flat:
+        for b, f in y.flat:
+            phase = sum(
+                m * a[i] * b[j] for i, row in enumerate(x.algebra.cocycle) for j, m in enumerate(row)
+            )
+            order.setdefault((tuple(i + j for i, j in zip(a, b)), e + f + phase), None)
+    return list(order)
+
+
+def _assert_product_order(x, y):
+    prod = x * y
+    assert _raw(prod) == _product_by_definition(x, y)
+    order = _nested_loop_order(x, y)
+    assert set(prod.flat) <= set(order)
+    assert list(prod.flat) == [k for k in order if k in prod.flat]
+    return prod
+
+
+def test_product_keeps_the_nested_loop_insertion_order():
+    u, v = TORUS.generator("U"), TORUS.generator("V")
+    s, q = phase_pow(1), phase_pow(2)
+    # sums whose same-index terms are not adjacent in the flat order
+    x = u + v + s * u + Fraction(2, 3) * (v * v) + q * v
+    y = v - GaussianRational(0, 1) * u + phase_pow(-3) * v + u * u
+    assert [a for a, _ in x.flat] == [(1, 0), (0, 1), (1, 0), (0, 2), (0, 1)]
+    for left, right in ((x, y), (y, x), (x, x), (x, u), (v, y)):
+        _assert_product_order(left, right)
+    # merges that cancel: the cross terms of (1 + U)(1 - U), and in p2 the
+    # terms s^0 V1 U2 and -s^1 U2 V1 of (V1 + U2)(U2 - s V1)
+    one = TORUS.unit()
+    prod = _assert_product_order(one + u, one - u)
+    assert list(prod.flat) == [((0, 0), 0), ((2, 0), 0)]
+    v1, u2 = P2.generator("V1"), P2.generator("U2")
+    x, y = v1 + u2 + s * v1, u2 - s * v1 + q * u2
+    prod = _assert_product_order(x, y)
+    assert len(prod.flat) < len(_nested_loop_order(x, y))
+
+
+@given(pairs_of_elements, pairs_of_elements)
+@settings(max_examples=100, deadline=None)
+def test_product_of_sums_keeps_the_nested_loop_insertion_order(first, second):
+    x1, y1 = first
+    x2, y2 = second
+    if x1.algebra is x2.algebra:
+        _assert_product_order(x1 + x2, y1 + y2)
+
+
+@pytest.mark.parametrize("algebra", list(ALGEBRAS.values()), ids=list(ALGEBRAS))
+def test_one_term_product_matches_the_reference(algebra):
+    a = (1, -2, 3, 0, -1, 2)[: algebra.d]
+    b = (-3, 1, 2, -2, 1, 1)[: algebra.d]
+    x = AlgebraElement(algebra, {a: PhaseScalar({3: GaussianRational(Fraction(2, 3), -1)})})
+    y = AlgebraElement(algebra, {b: PhaseScalar({-5: GaussianRational(Fraction(-1, 2), Fraction(1, 3))})})
+    for left, right in ((x, y), (y, x)):
+        prod = left * right
+        assert len(prod.flat) == 1
+        assert _raw(prod) == _product_by_definition(left, right)

@@ -1,6 +1,7 @@
 """The summary of tools/bench_pairs.py on synthetic run records; no benchmark runs."""
 
 import importlib.util
+import json
 import os
 
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_pairs.py")
@@ -9,9 +10,9 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
-def _run(workload, pair, side, op_cal, failed=0):
+def _run(workload, pair, side, op_cal, failed=0, digest="d0"):
     return {"workload": workload, "pair": pair, "side": side, "failed": failed,
-            "metrics": {"op_cal": op_cal, "peak_rss_mb": 20.0}}
+            "inputs_sha256": digest, "metrics": {"op_cal": op_cal, "peak_rss_mb": 20.0}}
 
 
 def test_quartiles_interpolate_between_sorted_values():
@@ -47,3 +48,39 @@ def test_summarise_keeps_workloads_apart():
     assert sorted(summary) == ["a", "b"]
     assert summary["b"]["metrics"]["op_cal"]["change"]["median"] == 2.0
     assert bench_pairs.summarise([]) == {}
+
+
+def test_summarise_flags_runs_that_saw_different_inputs():
+    runs = [_run("same", i, side, 1.0) for i in range(3) for side in ("parent", "change")]
+    runs += [_run("differs", i, "parent", 1.0) for i in range(3)]
+    runs += [_run("differs", i, "change", 1.0, digest="d1" if i == 1 else "d0") for i in range(3)]
+    summary = bench_pairs.summarise(runs)
+    assert summary["same"]["inputs_match"] is True
+    assert summary["differs"]["inputs_match"] is False
+
+
+def _fake_runs(monkeypatch, change_digest):
+    """Stand-ins for the export and the benchmark runs, so main runs nothing."""
+    def run(tree, workload, seed, seconds):
+        digest = change_digest if tree == bench_pairs.ROOT else "d0"
+        return {"failed": 0, "attempted": 1, "inputs_sha256": digest, "metrics": {"op_cal": 1.0}}
+
+    monkeypatch.setattr(bench_pairs, "_export", lambda rev, tree: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "_run", run)
+
+
+def test_main_exits_1_after_writing_when_the_inputs_differ(monkeypatch, tmp_path):
+    out = tmp_path / "pairs.json"
+    _fake_runs(monkeypatch, "d1")
+    assert bench_pairs.main(["--pairs", "2", "--out", str(out)]) == 1
+    summary = json.loads(out.read_text())["summary"]
+    assert summary and not any(entry["inputs_match"] for entry in summary.values())
+
+
+def test_main_exits_0_when_the_inputs_match(monkeypatch, tmp_path):
+    out = tmp_path / "pairs.json"
+    _fake_runs(monkeypatch, "d0")
+    assert bench_pairs.main(["--pairs", "2", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["summary"]
+    assert summary and all(entry["inputs_match"] for entry in summary.values())

@@ -25,9 +25,19 @@ def test_generator_symbol_rejects_zero_power():
         GeneratorSymbol(0, 0)
 
 
+def test_generator_symbol_rejects_a_power_that_is_not_an_integer():
+    for bad in (1.5, 1.0, None):
+        with pytest.raises(ValueError, match="nonzero integer"):
+            GeneratorSymbol(0, bad)
+
+
 def test_word_validates_positions():
     with pytest.raises(ValueError):
         Word(TORUS, (GeneratorSymbol(5, 1),))
+    # 1.0 compares equal to 1, and None does not compare with an int at all
+    for bad in (0.5, 1.0, None, -1):
+        with pytest.raises(ValueError, match=f"position {bad} out of range for 'torus'"):
+            Word(TORUS, (GeneratorSymbol(0, 1), GeneratorSymbol(bad, 1)))
 
 
 def test_normal_order_rejects_positions_out_of_range():
@@ -63,6 +73,17 @@ def test_normal_order_rejects_a_position_that_is_not_an_integer():
     for bad in (0.5, None):
         with pytest.raises(ValueError, match=f"position {bad} out of range"):
             normal_order_exponent(TORUS, [(0, 1), (bad, 1)])
+    # 1.0 finds the table row of position 1, then fails as a list index
+    for seq in ([(1.0, 1)], [(0, 1), (1.0, 1)], [(0.0, 2)]):
+        with pytest.raises(ValueError, match=f"position {seq[-1][0]} out of range for 'torus'"):
+            normal_order_exponent(TORUS, seq)
+
+
+def test_normal_order_keeps_other_errors_when_every_position_is_good():
+    # a bad power is not a bad position: the original TypeError stands
+    for seq in ([(0, None)], [(1, None)], [(0, 1), (1, "x")]):
+        with pytest.raises(TypeError):
+            normal_order_exponent(TORUS, seq)
 
 
 def test_normal_order_of_the_empty_word():
@@ -82,7 +103,10 @@ def test_normal_order_of_the_last_generator_alone_has_no_phase():
 
 def test_swap_exponent_rejects_positions_out_of_range():
     # negative positions too, which a plain index into the swap matrix would accept
-    for a, b, bad in ((0, 2, 2), (2, 0, 2), (-1, 0, -1), (0, -1, -1), (-1, -1, -1)):
+    for a, b, bad in (
+        (0, 2, 2), (2, 0, 2), (-1, 0, -1), (0, -1, -1), (-1, -1, -1),
+        (1.0, 0, 1.0), (0, 0.5, 0.5), (None, 1, None),
+    ):
         with pytest.raises(ValueError, match=f"position {bad} out of range"):
             swap_exponent(TORUS, a, b)
 

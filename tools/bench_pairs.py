@@ -14,7 +14,10 @@ output line (one JSON object) is kept.
 
 The output file holds every run's metrics and, for each workload and
 metric, the parent's and the change's q1, median and q3, the ratio of the
-medians, and in how many of the pairs the change was lower.
+medians, and in how many of the pairs the change was lower.  Each workload
+also records ``inputs_match``: whether all its runs, on both sides, report one
+``inputs_sha256``.  If any workload's do not, the two trees measured
+different inputs; the file is still written, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ def summarise(runs: list[dict]) -> dict:
     """Per workload and metric: each side's quartiles and the pairwise count.
 
     ``runs`` holds records ``{"workload", "pair", "side", "failed",
-    "metrics": {name: value}}``.  Only pairs with both sides present count.
+    "inputs_sha256", "metrics": {name: value}}``.  Only pairs with both sides
+    present count.
     """
     grouped: dict[str, dict[int, dict[str, dict]]] = {}
     for run in runs:
@@ -64,8 +68,10 @@ def summarise(runs: list[dict]) -> dict:
                 "median_ratio": q_after[1] / q_before[1] if q_before[1] else None,
                 "change_lower": f"{lower}/{len(pairs)}",
             }
+        digests = {p[side].get("inputs_sha256") for p in pairs for side in SIDES}
         out[workload] = {
             "pairs": len(pairs),
+            "inputs_match": len(digests) <= 1,
             "failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
             "metrics": metrics,
         }
@@ -146,6 +152,10 @@ def main(argv=None) -> int:
     with open(args.out, "w") as f:
         json.dump(result, f, indent=1)
         f.write("\n")
+    mismatched = [w for w, entry in result["summary"].items() if not entry["inputs_match"]]
+    if mismatched:
+        print(f"inputs_sha256 differs between runs of: {', '.join(mismatched)}", file=sys.stderr)
+        return 1
     return 0
 
 
