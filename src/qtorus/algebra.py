@@ -8,7 +8,9 @@ basis monomial, ``e`` the s-exponent, ``c`` a nonzero Gaussian rational.  The
 one product is delta^(a,e) * delta^(b,f) = delta^(a+b, e+f+phi(a,b)), with
 phi an integer bilinear form in s-exponent units (an entry of 2 is one full
 power of q); bilinearity makes it associative, which the test suite verifies
-rather than assumes.  Sorted keys (a, e) give the canonical rendering order.
+rather than assumes.  The product runs a kernel generated from the cocycle on
+first use, one straight-line function (a, b) -> (a+b, phi(a,b)) whose text is
+``kernel_source``.  Sorted keys (a, e) give the canonical rendering order.
 
 The scalars are the elements of the rank-0 algebra ``POINT`` (d = 0, not in
 ``ALGEBRAS``), each a :class:`PhaseScalar`.  A scalar acts on every algebra
@@ -32,7 +34,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 from math import gcd
-from operator import add
 from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
@@ -239,6 +240,22 @@ def join_signed(parts: list[str]) -> str:
     return "".join(out)
 
 
+def _tuple_text(items: list[str]) -> str:
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+
+def _sum_text(terms) -> str:
+    """Python text of the sum of m*v over the pairs (m, v) with m nonzero, e.g. "a0 - 2*a1"."""
+    parts = [v if m == 1 else f"-{v}" if m == -1 else f"{m}*{v}" for m, v in terms if m]
+    return join_signed(parts) if parts else "0"
+
+
+def _compile_kernel(source: str):
+    """The function ``kernel`` that ``source`` defines, compiled once."""
+    exec(source, namespace := {})
+    return namespace["kernel"]
+
+
 def _term_text(e: int, c: GaussianRational) -> str:
     """c * s**e, with the power written in q (s-exponent e is q-exponent e/2)."""
     if e == 0:
@@ -269,20 +286,22 @@ class AlgebraDescriptor:
         return len(self.generator_names)
 
     @cached_property
-    def _entries(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(
-            (i, j, m)
-            for i, row in enumerate(self.cocycle)
-            for j, m in enumerate(row)
-            if m
-        )
+    def kernel_source(self) -> str:
+        """Python source of ``kernel(a, b) -> (a + b, phi(a, b))``, one term per
+        nonzero cocycle entry; built on first use, like the kernel itself."""
+        a, b = ([f"{x}{i}" for i in range(self.d)] for x in "ab")
+        phi = _sum_text((m, f"a{i}*b{j}") for i, row in enumerate(self.cocycle)
+                        for j, m in enumerate(row))
+        return (f"def kernel(a, b):\n    {_tuple_text(a)} = a\n    {_tuple_text(b)} = b\n"
+                f"    return {_tuple_text([f'{x} + {y}' for x, y in zip(a, b)])}, {phi}\n")
+
+    @cached_property
+    def _kernel(self):
+        return _compile_kernel(self.kernel_source)
 
     def phase_exponent(self, a: MultiIndex, b: MultiIndex) -> int:
         """s-exponent picked up by delta^a * delta^b."""
-        total = 0
-        for i, j, m in self._entries:
-            total += m * a[i] * b[j]
-        return total
+        return self._kernel(a, b)[1]
 
     def monomial_text(self, idx: MultiIndex) -> str:
         """Generator powers of delta^idx, e.g. "U^2 V"; empty for the unit."""
@@ -431,22 +450,22 @@ class AlgebraElement:
         return AlgebraElement._raw(self.algebra, {k: v for k, v in out.items() if v})
 
     def __mul__(self, other: "AlgebraElement | ScalarLike") -> "AlgebraElement":
-        """The product; a number scales.  ``a + b`` and ``phi(a, b)`` are found
-        once per pair of index runs (adjacent flat terms sharing an index), the
-        coefficients multiplied once per pair of flat terms.  Output terms keep
-        the order of the nested loop over flat terms: ``eval_numeric`` sums
-        each index's terms in insertion order."""
+        """The product; a number scales.  The algebra's kernel gives ``a + b``
+        and ``phi(a, b)`` once per pair of index runs (adjacent flat terms
+        sharing an index); the coefficients are multiplied once per pair of
+        flat terms.  Output terms keep the order of the nested loop over flat
+        terms: ``eval_numeric`` sums each index's terms in insertion order."""
         if isinstance(other, AlgebraElement):
             algebra = self.algebra
             if other.algebra is not algebra:
                 self._require_same_algebra(other, "multiply")
-            phase_exponent = algebra.phase_exponent
+            kernel = algebra._kernel
             left, right = self._terms, other._terms
             if len(left) == 1 == len(right):
                 ((a, e), c), = left.items()
                 ((b, f), d), = right.items()
-                key = (tuple(map(add, a, b)), e + f + phase_exponent(a, b))
-                return AlgebraElement._raw(algebra, {key: d if c is _GR_ONE else c * d})
+                ab, g = kernel(a, b)
+                return AlgebraElement._raw(algebra, {(ab, e + f + g): d if c is _GR_ONE else c * d})
             out = {}
             a_run = None
             for (a, e), c in left.items():
@@ -455,7 +474,7 @@ class AlgebraElement:
                     a_run, b_run, row = a, None, []
                     for (b, f), d in right.items():
                         if b != b_run:
-                            b_run, ab, g = b, tuple(map(add, a, b)), phase_exponent(a, b)
+                            b_run, (ab, g) = b, kernel(a, b)
                         row.append((ab, f + g, d))
                 for ab, g, d in row:
                     key = (ab, e + g)

@@ -7,7 +7,8 @@ Every structure map sends a basis monomial to one monomial,
 with A an integer matrix and P an integer polynomial in a of degree at most
 two and without constant term (in s-exponent units, like the cocycles).  So
 a map is the integer data (A, P), extended linearly; since elements have
-finite support the extension is a finite sum.  The maps:
+finite support the extension is a finite sum, run by a kernel generated from
+(A, P) on first use: a -> (A a, P(a)), text in ``kernel_source``.  The maps:
 
 * ``comult``          torus -> p2,  U |-> U1 U2, V |-> V1 V2 (an algebra map)
 * ``counit``          torus -> POINT (the scalars),  U^k V^l |-> q^(k l / 2)
@@ -31,9 +32,10 @@ Maps are immutable and application is pure; everything is thread-safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from functools import cached_property
 
 from .algebra import CIRCLE, P2, P3, POINT, TORUS, AlgebraDescriptor, AlgebraElement
+from .algebra import _compile_kernel, _sum_text, _tuple_text
 
 __all__ = [
     "LinearMap",
@@ -64,8 +66,8 @@ class LinearMap:
     ``PhaseScalar``.  ``phase`` is the quadratic part of P as sparse entries
     (i, j, m), each meaning m * a[i] * a[j]; ``linear`` is its linear part,
     empty or one integer per source generator.  Applying the map moves each
-    flat term (a, e) -> c to (A a, e + P(a)) -> c and merges the results, so
-    f(x + c*y) = f(x) + c*f(y) by construction.
+    flat term (a, e) -> c to (A a, e + P(a)) -> c, with (A a, P(a)) from
+    ``image(a)``, and merges them, so f(x + c*y) = f(x) + c*f(y) as built.
     """
 
     name: str
@@ -96,16 +98,27 @@ class LinearMap:
                 f"map {self.name!r} expects elements of {self.source.name!r}, "
                 f"got {x.algebra.name!r}"
             )
-        matrix, phase, linear = self.matrix, self.phase, self.linear
+        image = self.image
         out = {}
-        for (a, e), c in x.flat.items():
-            e += sum(map(mul, linear, a))
-            for i, j, m in phase:
-                e += m * a[i] * a[j]
-            key = (tuple([sum(map(mul, row, a)) for row in matrix]), e)
+        for (a, e), c in x._terms.items():
+            b, g = image(a)
+            key = (b, e + g)
             acc = out.get(key)
             out[key] = c if acc is None else acc + c
         return AlgebraElement._raw(self.target, {k: c for k, c in out.items() if c})
+
+    @cached_property
+    def kernel_source(self) -> str:
+        """Python source of ``kernel(a) -> (A a, P(a))``, built on first use."""
+        a = [f"a{i}" for i in range(self.source.d)]
+        phase = [(m, f"a{i}*a{j}") for i, j, m in self.phase] + [*zip(self.linear, a)]
+        index = _tuple_text([_sum_text(zip(row, a)) for row in self.matrix])
+        return f"def kernel(a):\n    {_tuple_text(a)} = a\n    return {index}, {_sum_text(phase)}\n"
+
+    @cached_property
+    def image(self):
+        """delta^a |-> s**P(a) * delta^(A a) as the pair (A a, P(a)), run by the kernel."""
+        return _compile_kernel(self.kernel_source)
 
     def __repr__(self) -> str:
         return f"LinearMap({self.name!r}: {self.source.name} -> {self.target.name})"

@@ -6,8 +6,9 @@ one pass that keeps the running power of each generator.  A letter pays, for
 every earlier letter at a later position, the phase of moving past it, read
 from the swap matrix of the ambient algebra, which is built once, at import,
 from its relation rows (``RELATION_ROWS``) alone.  Those are exactly the
-adjacent swaps of a stable sort, so the sum is the sort's phase.
-Nothing here touches the cocycle matrices, so agreement between
+adjacent swaps of a stable sort, so the sum is the sort's phase.  The pass
+runs a straight-line kernel made from that table (``order_kernel_source``).
+Nothing here reads a cocycle matrix, so agreement between
 :func:`normal_order` and ``AlgebraElement.__mul__`` is a genuine cross-check.
 
 Every relation is a pure q-commutation g_i g_j = s**e g_j g_i, so swap phases
@@ -21,6 +22,7 @@ to call from multiple threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 from .phases import PhaseScalar, phase_pow
@@ -34,6 +36,7 @@ __all__ = [
     "word_of_index",
     "normal_order",
     "normal_order_exponent",
+    "order_kernel_source",
 ]
 
 
@@ -131,15 +134,27 @@ _SWAP: dict[str, tuple[tuple[int, ...], ...]] = {
     name: _swap_matrix(rows, ALGEBRAS[name].d) for name, rows in RELATION_ROWS.items()
 }
 
-# For each position b, the pairs (a, m[a][b]) with a > b and m[a][b] != 0: the
-# later generators a letter at b moves past, and the phase of each move.  A
-# dict, so a position outside the algebra, negative ones too, is a KeyError.
-_PASSES: dict[str, dict[int, tuple[tuple[int, int], ...]]] = {
-    name: {
-        b: tuple((a, m[a][b]) for a in range(b + 1, len(m)) if m[a][b]) for b in range(len(m))
-    }
-    for name, m in _SWAP.items()
-}
+def order_kernel_source(name: str) -> str:
+    """Python source of one algebra's ``kernel(seq) -> (s-exponent, index)``: a
+    branch per position b, adding the phase m[a][b] of each move past a later
+    position a (m the swap matrix); KeyError for a position not an int in range."""
+    m = _SWAP[name]
+    powers = [f"p{b}" for b in range(len(m))]
+    body = ""
+    for b in range(len(m)):
+        moves = " + ".join(f"{m[a][b]}*p{a}" for a in range(b + 1, len(m)) if m[a][b])
+        phase = f"            e += ({moves})*r\n" if moves else ""
+        body += f"        {'elif' if b else 'if'} b == {b}:\n{phase}            p{b} += r\n"
+    return (f"def kernel(seq):\n    {' = '.join(powers)} = e = 0\n    for b, r in seq:\n"
+            "        if type(b) is not int and not isinstance(b, int):\n"
+            f"            raise KeyError(b)\n{body}        else:\n            raise KeyError(b)\n"
+            f"    return e, ({', '.join(powers)}{',' * (len(powers) == 1)})\n")
+
+
+@cache
+def _order_kernel(name: str):
+    exec(order_kernel_source(name), namespace := {})
+    return namespace["kernel"]
 
 
 def _check_positions(algebra: AlgebraDescriptor, positions: Iterable[int]) -> None:
@@ -170,30 +185,23 @@ def normal_order_exponent(
 ) -> tuple[int, MultiIndex]:
     """Core routine on raw (position, power) pairs; returns (s-exponent, index).
 
-    One pass with running power sums: a letter (b, r) adds
-    ``r * sum(rows[a][b] * powers[a] for a > b)``, where ``powers[a]`` is the
-    total power of the earlier letters at a, and then ``powers[b] += r``.
-    That is the phase of a stable sort: the letter moves left past each
-    earlier letter (a, p) with a > b exactly once, the adjacent swap
-    g_a^p g_b^r -> g_b^r g_a^p contributing ``rows[a][b] * p * r``, and equal
-    positions never swap.  ``rows`` is the swap matrix of the relation rows.
-    Inverses are negative powers; like generators merge by adding their
-    powers.  A position outside the algebra raises ``ValueError``.
+    The algebra's order kernel makes one pass with running power sums: a
+    letter (b, r) adds ``r * sum(rows[a][b] * powers[a] for a > b)``, where
+    ``powers[a]`` is the total power of the earlier letters at a, and then
+    ``powers[b] += r``.  That is the phase of a stable sort: the letter moves
+    left past each earlier letter (a, p) with a > b exactly once, the adjacent
+    swap g_a^p g_b^r -> g_b^r g_a^p contributing ``rows[a][b] * p * r``, and
+    equal positions never swap.  ``rows`` is the swap matrix of the relation
+    rows.  Inverses are negative powers; like generators merge by adding
+    their powers.  A position outside the algebra raises ``ValueError``.
     """
-    passes = _PASSES[algebra.name]
-    powers = [0] * len(passes)
-    exponent = 0
+    kernel = _order_kernel(algebra.name)
     try:
-        for b, r in seq:
-            for a, e in passes[b]:
-                exponent += e * powers[a] * r
-            powers[b] += r
+        return kernel(seq)
     except (KeyError, TypeError):
-        # 1.0 finds passes[1], then fails as a list index; with every position
-        # good (a None power, say) the original error stands
+        # with every position good (a None power, say) the original error stands
         _check_positions(algebra, (p for p, _ in seq))
         raise
-    return exponent, tuple(powers)
 
 
 def normal_order(word: Word) -> tuple[PhaseScalar, MultiIndex]:

@@ -84,6 +84,22 @@ def test_map_data_matches_reference_rule(name):
         assert fmap(x) == _reference_apply(rule, x), x.render()
 
 
+@pytest.mark.parametrize("name", list(ALL_MAPS))
+def test_map_kernel_gives_the_index_and_phase_of_its_data(name):
+    fmap = ALL_MAPS[name]
+    linear = fmap.linear or (0,) * fmap.source.d
+    for a in BASIS_BOXES[fmap.source.name]:
+        index = tuple(sum(m * k for m, k in zip(row, a)) for row in fmap.matrix)
+        phase = sum(m * a[i] * a[j] for i, j, m in fmap.phase)
+        assert fmap.image(a) == (index, phase + sum(m * k for m, k in zip(linear, a))), a
+
+
+def test_comult_kernel_source_is_pinned():
+    assert comult.kernel_source == (
+        "def kernel(a):\n    (a0, a1) = a\n    return (a0, a1, a0, a1), -a0*a1\n"
+    )
+
+
 def test_map_sums_can_cancel():
     # U V - q^(1/2) and U1 - U2 are nonzero, but the terms of their images cancel
     image = counit(TORUS.basis((1, 1)) - phase_pow(1) * TORUS.unit())

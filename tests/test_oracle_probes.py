@@ -15,8 +15,9 @@ import json
 import random
 
 from qtorus import suite
-from qtorus.algebra import AlgebraDescriptor, AlgebraElement
+from qtorus.algebra import AlgebraElement
 from qtorus.suite import TrialConfig
+from test_planted_defects import DEFECTS
 
 
 def _outcomes(count):
@@ -35,11 +36,8 @@ def _plant_numeric_defect(monkeypatch):
     monkeypatch.setattr(AlgebraElement, "eval_numeric", off_on_indexed_elements)
 
 
-def _plant_phase_defect(monkeypatch):
-    form = AlgebraDescriptor.phase_exponent
-    monkeypatch.setattr(
-        AlgebraDescriptor, "phase_exponent", lambda self, a, b: form(self, a, b) + 2 * sum(a)
-    )
+# the planted phase defect phi(a, b) + 2*sum(a), set on every product kernel
+_plant_phase_defect = DEFECTS["phase-plus-2-sum-a"][0]
 
 
 def test_probes_catch_a_defect_in_numeric_evaluation_only(monkeypatch):

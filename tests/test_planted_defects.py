@@ -10,15 +10,15 @@ and its order.  After a deliberate change of a report, recompute a digest with
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
-from qtorus import algebra as algebra_module
 from qtorus import suite
-from qtorus.algebra import AlgebraDescriptor
-from qtorus.maps import comult, counit, mult_map
+from qtorus.algebra import ALGEBRAS, POINT
+from qtorus.maps import MAPS, comult, counit, mult_map
 from qtorus.rewrite import RELATION_ROWS, swap_exponent
-from qtorus.suite import CHECKS, TrialConfig, reports_to_records, run_suite
+from qtorus.suite import CHECKS, P2_FORMULA_VARIANT, TrialConfig, reports_to_records, run_suite
 
 CFG = TrialConfig(seed=7, trials=20)
 RELATION_CHECKS = ("torus-relation", "p2-relations", "p3-relations", "swap-table-consistency")
@@ -30,6 +30,7 @@ HOMOMORPHISM_CHECKS = (
     "circle-delta-homomorphism",
 )
 CHECKED = tuple(name for name in CHECKS if name != "oracle-equivalence")
+DESCRIPTORS = (POINT, *ALGEBRAS.values(), P2_FORMULA_VARIANT)
 
 
 def _failing_and_digest() -> tuple[set[str], str]:
@@ -38,20 +39,27 @@ def _failing_and_digest() -> tuple[set[str], str]:
     return {r.name for r in reports if r.failures}, hashlib.sha256(text.encode()).hexdigest()
 
 
-def _extra_phase(term):
-    def plant(monkeypatch):
-        form = AlgebraDescriptor.phase_exponent
-        monkeypatch.setattr(
-            AlgebraDescriptor, "phase_exponent", lambda self, a, b: form(self, a, b) + term(a, b)
-        )
+def _plant_kernels(monkeypatch, defective):
+    """Give every descriptor the product kernel ``defective(kernel)`` made from its own."""
+    for algebra in DESCRIPTORS:
+        monkeypatch.setitem(algebra.__dict__, "_kernel", defective(algebra._kernel))
 
-    return plant
+
+def _extra_phase(term):
+    def with_term(kernel):
+        def defective(a, b):
+            ab, g = kernel(a, b)
+            return ab, g + term(a, b)
+
+        return defective
+
+    return lambda monkeypatch: _plant_kernels(monkeypatch, with_term)
 
 
 def _map_phase(fmap, phase):
     def plant(monkeypatch):
-        # LinearMap is a frozen dataclass, so the field is replaced in its __dict__
-        monkeypatch.setitem(fmap.__dict__, "phase", phase)
+        # the image kernel built from the defective phase replaces the map's own
+        monkeypatch.setitem(fmap.__dict__, "image", replace(fmap, phase=phase).image)
 
     return plant
 
@@ -65,7 +73,10 @@ def _relation_rows(monkeypatch):
 
 def _product_index(monkeypatch):
     # delta^a * delta^b lands on a + 2b: wrong even at q = 1, where every phase is 1
-    monkeypatch.setattr(algebra_module, "add", lambda u, v: u + 2 * v)
+    def with_index(kernel):
+        return lambda a, b: (tuple(u + 2 * v for u, v in zip(a, b)), kernel(a, b)[1])
+
+    _plant_kernels(monkeypatch, with_index)
 
 
 def _swapped_arguments(monkeypatch):
@@ -165,3 +176,20 @@ def test_every_shared_loop_check_catches_a_planted_defect():
     caught = {name for _, expected, _ in DEFECTS.values() for name in expected}
     assert caught == set(CHECKED)
     assert len(CHECKED) == 21
+
+
+def _images():
+    """Products of two basis monomials in each algebra and each map's image of one."""
+    a, b = (1, 1, 1, 1, 1, 1), (1, -1, 2, 1, -2, 1)
+    products = [x.basis(a[:x.d]) * x.basis(b[:x.d]) for x in ALGEBRAS.values()]
+    return products, [f(f.source.basis(a[:f.source.d])) for f in MAPS.values()]
+
+
+@pytest.mark.parametrize("defect", [
+    "phase-plus-2-sum-a", "phase-cubic-term", "comult-phase-sign", "mu-phase-sign",
+    "counit-no-phase", "product-index",
+])
+def test_each_kernel_plant_changes_a_product_or_map_image(monkeypatch, defect):
+    before = _images()
+    DEFECTS[defect][0](monkeypatch)
+    assert _images() != before, f"{defect} no longer reaches a product or map kernel"

@@ -1,7 +1,10 @@
-"""The README quick start runs, and each value prints as its comment says."""
+"""The README quick start runs, each value prints as its comment says, and the
+p2 kernel the README shows is the one that runs."""
 
 import os
 import re
+
+from qtorus.algebra import P2
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -28,3 +31,8 @@ def test_quick_start_comments_are_what_the_library_prints():
         assert str(eval(code, namespace)) == comment, code
         checked += 1
     assert checked >= 4
+
+
+def test_the_p2_kernel_shown_is_the_one_that_runs():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        assert f"```python\n{P2.kernel_source}```" in f.read()

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -70,13 +71,35 @@ def test_normal_order_rejects_positions_out_of_range_in_p2_p3(algebra):
 
 
 def test_normal_order_rejects_a_position_that_is_not_an_integer():
-    for bad in (0.5, None):
+    for bad in (0.5, None, "0"):
         with pytest.raises(ValueError, match=f"position {bad} out of range"):
             normal_order_exponent(TORUS, [(0, 1), (bad, 1)])
     # 1.0 finds the table row of position 1, then fails as a list index
     for seq in ([(1.0, 1)], [(0, 1), (1.0, 1)], [(0.0, 2)]):
         with pytest.raises(ValueError, match=f"position {seq[-1][0]} out of range for 'torus'"):
             normal_order_exponent(TORUS, seq)
+
+
+def test_normal_order_takes_a_true_position_as_1():
+    # bool is an int, so True is position 1, as it is for a list index
+    assert normal_order_exponent(TORUS, [(True, 1), (0, 1)]) == (-2, (1, 1))
+    assert normal_order_exponent(P2, [(True, 2), (2, 1)]) == normal_order_exponent(
+        P2, [(1, 2), (2, 1)]
+    )
+
+
+def test_no_position_lets_a_key_error_escape():
+    positions = (
+        -2, -1, 0, 1, 2, 3, 6, 7, 1.0, 0.0, 0.5, -0.0, True, False, None, "0", "a", (0,),
+        Fraction(1), complex(1, 0),
+    )
+    for algebra in ALGEBRAS.values():
+        for p in positions:
+            for seq in ([(p, 1)], [(0, 2), (p, -1)], [(p, 1), (algebra.d - 1, 1)]):
+                try:
+                    normal_order_exponent(algebra, seq)
+                except ValueError:
+                    pass
 
 
 def test_normal_order_keeps_other_errors_when_every_position_is_good():
