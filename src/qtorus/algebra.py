@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
-from math import gcd
+from math import fsum, gcd
 from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
@@ -453,8 +453,7 @@ class AlgebraElement:
         """The product; a number scales.  The algebra's kernel gives ``a + b``
         and ``phi(a, b)`` once per pair of index runs (adjacent flat terms
         sharing an index); the coefficients are multiplied once per pair of
-        flat terms.  Output terms keep the order of the nested loop over flat
-        terms: ``eval_numeric`` sums each index's terms in insertion order."""
+        flat terms."""
         if isinstance(other, AlgebraElement):
             algebra = self.algebra
             if other.algebra is not algebra:
@@ -507,12 +506,19 @@ class AlgebraElement:
         return bool(self._terms)
 
     def eval_numeric(self, theta: float) -> dict[MultiIndex, complex]:
-        """Coefficientwise evaluation at s = exp(i*pi*theta), i.e. q = exp(2*pi*i*theta)."""
+        """Coefficientwise evaluation at s = exp(i*pi*theta), i.e. q = exp(2*pi*i*theta); each
+        index sums its terms' real and imaginary parts by ``math.fsum``, in any order alike."""
         # s has period 2 in theta; the reduction is exact and keeps pi*theta finite
         base = cmath.exp(1j * math.pi * math.fmod(theta, 2.0))
         out: dict[MultiIndex, complex] = {}
+        several: dict[MultiIndex, list[complex]] = {}  # the terms of each index that has several
         for (a, e), c in self._terms.items():
-            out[a] = out.get(a, 0j) + c.to_complex() * base**e
+            z = 0j + c.to_complex() * base**e  # 0j + turns a -0.0 part into 0.0
+            if a in out:
+                several.setdefault(a, [out[a]]).append(z)
+            out[a] = z
+        for a, zs in several.items():
+            out[a] = 0j + complex(fsum(z.real for z in zs), fsum(z.imag for z in zs))
         return out
 
     def render(self) -> str:
@@ -549,12 +555,16 @@ class AlgebraElement:
 
     @classmethod
     def from_records(cls, algebra: AlgebraDescriptor, records: list) -> "AlgebraElement":
+        """The element of ``to_records`` output; each (index, s-exponent) at most once."""
         terms = {}
         for idx, coeff in records:
             idx = algebra.check_index(idx)
             for e, rn, rd, imn, imd in coeff:
-                c = GaussianRational(Fraction(rn, rd), Fraction(imn, imd))
-                terms[(idx, int(e))] = c
+                if not isinstance(e, int):
+                    raise TypeError(f"s-exponent must be an integer, got {e!r}")
+                if (idx, e) in terms:
+                    raise ValueError(f"s-exponent {e} repeated at index {idx}")
+                terms[(idx, e)] = GaussianRational(Fraction(rn, rd), Fraction(imn, imd))
         return AlgebraElement._raw(algebra, {k: c for k, c in terms.items() if c})
 
 

@@ -59,23 +59,24 @@ def _format_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
-def _cmd_normalize(args) -> int:
-    algebra = _algebra_from_name(args.algebra)
-    element = parse_expression(algebra, args.expr)
-    if args.format == "text":
+def _print_element(element: AlgebraElement, fmt: str) -> None:
+    if fmt == "text":
         print(element.render())
+    elif isinstance(element, PhaseScalar):
+        print(json.dumps({"scalar": element.to_records()}))
     else:
-        print(json.dumps({"algebra": algebra.name, "terms": element.to_records()}))
+        print(json.dumps({"algebra": element.algebra.name, "terms": element.to_records()}))
+
+
+def _cmd_normalize(args) -> int:
+    _print_element(parse_expression(_algebra_from_name(args.algebra), args.expr), args.format)
     return 0
 
 
 def _cmd_mul(args) -> int:
     algebra = _algebra_from_name(args.algebra)
     product = parse_expression(algebra, args.left) * parse_expression(algebra, args.right)
-    if args.format == "text":
-        print(product.render())
-    else:
-        print(json.dumps({"algebra": algebra.name, "terms": product.to_records()}))
+    _print_element(product, args.format)
     return 0
 
 
@@ -91,14 +92,7 @@ def _cmd_apply(args) -> int:
             f"map {fmap.name!r} expects elements of {fmap.source.name!r}, "
             f"got {args.algebra!r}"
         )
-    element = parse_expression(fmap.source, args.expr)
-    image = fmap(element)
-    if args.format == "text":
-        print(image.render())
-    elif isinstance(image, PhaseScalar):
-        print(json.dumps({"scalar": image.to_records()}))
-    else:
-        print(json.dumps({"algebra": image.algebra.name, "terms": image.to_records()}))
+    _print_element(fmap(parse_expression(fmap.source, args.expr)), args.format)
     return 0
 
 
@@ -121,28 +115,15 @@ def _cmd_eval(args) -> int:
     if not math.isfinite(args.theta):
         raise ValueError(f"theta must be a finite number, got {args.theta}")
     algebra = _algebra_from_name(args.algebra)
-    element = parse_expression(algebra, args.expr)
-    values = element.eval_numeric(args.theta)
+    # one value per index, so sorting the items never compares two values
+    values = sorted(parse_expression(algebra, args.expr).eval_numeric(args.theta).items())
     if args.format == "text":
-        for idx in sorted(values):
-            print(f"{algebra.monomial_text(idx) or '1'}: {_format_complex(values[idx])}")
+        for idx, z in values:
+            print(f"{algebra.monomial_text(idx) or '1'}: {_format_complex(z)}")
     else:
-        print(
-            json.dumps(
-                {
-                    "algebra": algebra.name,
-                    "theta": args.theta,
-                    "coefficients": [
-                        {
-                            "index": list(idx),
-                            "re": values[idx].real,
-                            "im": values[idx].imag,
-                        }
-                        for idx in sorted(values)
-                    ],
-                }
-            )
-        )
+        coefficients = [{"index": list(idx), "re": z.real, "im": z.imag} for idx, z in values]
+        payload = {"algebra": algebra.name, "theta": args.theta, "coefficients": coefficients}
+        print(json.dumps(payload))
     return 0
 
 

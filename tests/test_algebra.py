@@ -6,7 +6,7 @@ from fractions import Fraction
 from operator import add, mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtorus.phases import ONE, ZERO, GaussianRational, PhaseScalar, phase_pow
@@ -22,8 +22,9 @@ from qtorus.algebra import (
 )
 from qtorus.maps import LinearMap
 from qtorus.rewrite import normal_order, word_of_index
-from qtorus.suite import P2_FORMULA_VARIANT
-from test_product_reference import reference_product, small_fractions
+from qtorus.suite import P2_FORMULA_VARIANT, THETA_PROBES
+from test_cli import _run_main
+from test_product_reference import raw_of, reference_product, small_fractions
 
 
 def elements(algebra, bound=3, max_support=3):
@@ -235,18 +236,10 @@ def test_circle_is_commutative(x, y):
 
 def test_subalgebra_embeddings_are_homomorphisms():
     box = list(itertools.product(range(-2, 3), repeat=2))
-    for a in box:
-        for b in box:
-            xa, xb = TORUS.basis(a), TORUS.basis(b)
-            left_a = P2.basis((a[0], a[1], 0, 0))
-            left_b = P2.basis((b[0], b[1], 0, 0))
-            right_a = P2.basis((0, 0, a[0], a[1]))
-            right_b = P2.basis((0, 0, b[0], b[1]))
-            prod = xa * xb
-            coeff, idx = next(iter(prod.support.items())), None
-            (pidx, pc) = coeff
-            assert left_a * left_b == pc * P2.basis((pidx[0], pidx[1], 0, 0))
-            assert right_a * right_b == pc * P2.basis((0, 0, pidx[0], pidx[1]))
+    for a, b in itertools.product(box, repeat=2):
+        (ab, c), = (TORUS.basis(a) * TORUS.basis(b)).support.items()
+        for embed in (lambda k: (*k, 0, 0), lambda k: (0, 0, *k)):
+            assert P2.basis(embed(a)) * P2.basis(embed(b)) == c * P2.basis(embed(ab))
 
 
 # --- numeric evaluation ---
@@ -283,6 +276,7 @@ def test_records_round_trip():
         PhaseScalar({-1: GaussianRational(Fraction(1, 2), Fraction(-1, 3))})
         * P2.basis((1, -2, 0, 3))
         + 4 * P2.unit()
+        + phase_pow(3) * P2.unit()
     )
     records = x.to_records()
     assert AlgebraElement.from_records(P2, records) == x
@@ -293,17 +287,20 @@ def test_records_round_trip():
         assert all(len(t) == 5 and all(isinstance(v, int) for v in t) for t in terms)
 
 
-def _raw(element):
-    """The stored terms as plain data ``{index: {s_exponent: (re, im)}}``."""
-    raw = {}
-    for (a, e), c in element.flat.items():
-        raw.setdefault(a, {})[e] = (c.re, c.im)
-    return raw
+def test_records_reject_a_non_integer_s_exponent():
+    with pytest.raises(TypeError, match="s-exponent must be an integer, got 0.5"):
+        AlgebraElement.from_records(TORUS, [[[1, 0], [[0.5, 1, 1, 0, 1]]]])
+
+
+def test_records_reject_a_repeated_index_and_s_exponent():
+    # the two entries sum to 0; neither may silently replace the other
+    with pytest.raises(ValueError, match=r"s-exponent 0 repeated at index \(1, 0\)"):
+        AlgebraElement.from_records(TORUS, [[[1, 0], [[0, 1, 1, 0, 1]]], [[1, 0], [[0, -1, 1, 0, 1]]]])
 
 
 def _product_by_definition(x, y):
     """x * y by the plain-Fraction reference, which shares no arithmetic with qtorus."""
-    return reference_product(x.algebra.cocycle, _raw(x), _raw(y))
+    return reference_product(x.algebra.cocycle, raw_of(x), raw_of(y))
 
 
 # one-term coefficients (1 among them) and multi-term ones, so the product
@@ -338,10 +335,10 @@ pairs_of_elements = st.one_of([
 @settings(max_examples=200, deadline=None)
 def test_product_matches_its_term_by_term_definition(pair):
     x, y = pair
-    assert _raw(x * y) == _product_by_definition(x, y)
+    assert raw_of(x * y) == _product_by_definition(x, y)
 
 
-# --- the product's work and output order ---
+# --- the product's work, and values free of the term order ---
 
 def _two_powers(algebra, indices):
     """An element whose coefficient at each index has two s-powers."""
@@ -367,57 +364,56 @@ def test_product_finds_the_phase_once_per_pair_of_index_runs(monkeypatch):
     # one call per pair of the 3 x 4 indices, not per pair of the 6 x 8 flat terms
     assert len(calls) == 12
     assert len(set(calls)) == 12
-    assert _raw(prod) == _product_by_definition(x, y)
+    assert raw_of(prod) == _product_by_definition(x, y)
 
 
-def _nested_loop_order(x, y):
-    """Keys of x * y in first-occurrence order of the left-flat by right-flat loop."""
-    order = {}
-    for a, e in x.flat:
-        for b, f in y.flat:
-            phase = sum(
-                m * a[i] * b[j] for i, row in enumerate(x.algebra.cocycle) for j, m in enumerate(row)
-            )
-            order.setdefault((tuple(i + j for i, j in zip(a, b)), e + f + phase), None)
-    return list(order)
+def _assert_value_ignores_term_order(x, cli_theta=None):
+    """x and the equal element with its terms stored in reverse give bit-identical
+    ``eval_numeric`` floats at each probe theta, and ``qtorus eval --format json``
+    bytes at ``cli_theta``."""
+    terms = [AlgebraElement(x.algebra, {a: PhaseScalar({e: c})}) for (a, e), c in x.flat.items()]
+    backwards = sum(reversed(terms), x.algebra.zero())
+    assert backwards == x and list(backwards.flat) == list(reversed(x.flat))
+    for theta in THETA_PROBES:
+        bits = [{a: (z.real.hex(), z.imag.hex()) for a, z in y.eval_numeric(theta).items()}
+                for y in (x, backwards)]
+        assert bits[0] == bits[1]
+    if cli_theta is not None:
+        argv = ["eval", "--format", "json", "--algebra", x.algebra.name, "--theta", repr(cli_theta)]
+        first, second = (_run_main([*argv, " + ".join(f"({t.render()})" for t in ts) or "0"])
+                         for ts in (terms, terms[::-1]))
+        assert first[0] == 0 and first == second
 
 
-def _assert_product_order(x, y):
-    prod = x * y
-    assert _raw(prod) == _product_by_definition(x, y)
-    order = _nested_loop_order(x, y)
-    assert set(prod.flat) <= set(order)
-    assert list(prod.flat) == [k for k in order if k in prod.flat]
-    return prod
-
-
-def test_product_keeps_the_nested_loop_insertion_order():
-    u, v = TORUS.generator("U"), TORUS.generator("V")
-    s, q = phase_pow(1), phase_pow(2)
-    # sums whose same-index terms are not adjacent in the flat order
-    x = u + v + s * u + Fraction(2, 3) * (v * v) + q * v
-    y = v - GaussianRational(0, 1) * u + phase_pow(-3) * v + u * u
-    assert [a for a, _ in x.flat] == [(1, 0), (0, 1), (1, 0), (0, 2), (0, 1)]
-    for left, right in ((x, y), (y, x), (x, x), (x, u), (v, y)):
-        _assert_product_order(left, right)
-    # merges that cancel: the cross terms of (1 + U)(1 - U), and in p2 the
-    # terms s^0 V1 U2 and -s^1 U2 V1 of (V1 + U2)(U2 - s V1)
-    one = TORUS.unit()
-    prod = _assert_product_order(one + u, one - u)
-    assert list(prod.flat) == [((0, 0), 0), ((2, 0), 0)]
-    v1, u2 = P2.generator("V1"), P2.generator("U2")
-    x, y = v1 + u2 + s * v1, u2 - s * v1 + q * u2
-    prod = _assert_product_order(x, y)
-    assert len(prod.flat) < len(_nested_loop_order(x, y))
+U, V, S, Q = TORUS.generator("U"), TORUS.generator("V"), phase_pow(1), phase_pow(2)
+# sums whose same-index terms are not adjacent in the flat order
+SPREAD_X = U + V + S * U + Fraction(2, 3) * (V * V) + Q * V
+SPREAD_Y = V - GaussianRational(0, 1) * U + phase_pow(-3) * V + U * U
+# five s-powers of U, whose sum at theta = 0.1375 once depended on their order
+SPREAD_U = U + S * U + Q * U + phase_pow(3) * U + Fraction(1, 3) * phase_pow(5) * U
+V1, U2 = P2.generator("V1"), P2.generator("U2")
 
 
 @given(st.one_of([
     st.tuples(*[coefficient_elements(algebra)] * 4) for algebra in ALGEBRAS.values()
-]))
+]).map(lambda xy: (xy[0] + xy[1], xy[2] + xy[3])), st.sampled_from(THETA_PROBES))
+@example((SPREAD_X, SPREAD_Y), 0.1375)
+@example((SPREAD_Y, SPREAD_X), 0.1375)
+@example((SPREAD_X, SPREAD_X), 0.1375)
+@example((SPREAD_X, U), 0.1375)
+@example((V, SPREAD_Y), 0.1375)
+@example((SPREAD_U, TORUS.unit()), 0.1375)
+# merges that cancel: the cross terms of (1 + U)(1 - U), and in p2 the terms
+# s^0 V1 U2 and -s^1 U2 V1 of (V1 + U2)(U2 - s V1)
+@example((TORUS.unit() + U, TORUS.unit() - U), 0.1375)
+@example((V1 + U2 + S * V1, U2 - S * V1 + Q * U2), 0.1375)
 @settings(max_examples=100, deadline=None)
-def test_product_of_sums_keeps_the_nested_loop_insertion_order(summands):
-    x1, x2, y1, y2 = summands
-    _assert_product_order(x1 + x2, y1 + y2)
+def test_product_of_sums_and_its_value_do_not_depend_on_term_order(pair, cli_theta):
+    x, y = pair
+    prod = x * y
+    assert raw_of(prod) == _product_by_definition(x, y)
+    _assert_value_ignores_term_order(x, cli_theta)
+    _assert_value_ignores_term_order(prod)
 
 
 @pytest.mark.parametrize("algebra", list(ALGEBRAS.values()), ids=list(ALGEBRAS))
@@ -429,4 +425,4 @@ def test_one_term_product_matches_the_reference(algebra):
     for left, right in ((x, y), (y, x)):
         prod = left * right
         assert len(prod.flat) == 1
-        assert _raw(prod) == _product_by_definition(left, right)
+        assert raw_of(prod) == _product_by_definition(left, right)

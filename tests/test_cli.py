@@ -13,6 +13,7 @@ from qtorus.phases import MAX_NESTING, GaussianRational, PhaseScalar, parse_phas
 from qtorus.algebra import ALGEBRAS, CIRCLE, P2, TORUS
 from qtorus.cli import main, parse_expression
 from qtorus.suite import TrialConfig, random_element
+from test_product_reference import small_fractions
 
 
 # --- expression parsing ---
@@ -73,7 +74,6 @@ def test_round_trip_small_sample():
             assert parse_expression(algebra, x.render()) == x
 
 
-small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
 phase_scalars = st.dictionaries(st.integers(-8, 8), gaussians, max_size=4).map(PhaseScalar)
 

@@ -18,8 +18,8 @@ from qtorus.phases import (
     parse_phase,
     phase_pow,
 )
+from test_product_reference import small_fractions
 
-small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
 phases = st.dictionaries(st.integers(-8, 8), gaussians, max_size=4).map(PhaseScalar)
 
