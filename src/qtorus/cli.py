@@ -46,15 +46,6 @@ def parse_expression(algebra: AlgebraDescriptor, text: str) -> AlgebraElement:
     return algebra.unit().scale(value) if isinstance(value, PhaseScalar) else value
 
 
-def _algebra_from_name(name: str) -> AlgebraDescriptor:
-    try:
-        return ALGEBRAS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown algebra {name!r}; choose from {', '.join(ALGEBRAS)}"
-        ) from None
-
-
 def _format_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
@@ -69,12 +60,12 @@ def _print_element(element: AlgebraElement, fmt: str) -> None:
 
 
 def _cmd_normalize(args) -> int:
-    _print_element(parse_expression(_algebra_from_name(args.algebra), args.expr), args.format)
+    _print_element(parse_expression(ALGEBRAS[args.algebra], args.expr), args.format)
     return 0
 
 
 def _cmd_mul(args) -> int:
-    algebra = _algebra_from_name(args.algebra)
+    algebra = ALGEBRAS[args.algebra]
     product = parse_expression(algebra, args.left) * parse_expression(algebra, args.right)
     _print_element(product, args.format)
     return 0
@@ -114,7 +105,7 @@ def _cmd_check(args) -> int:
 def _cmd_eval(args) -> int:
     if not math.isfinite(args.theta):
         raise ValueError(f"theta must be a finite number, got {args.theta}")
-    algebra = _algebra_from_name(args.algebra)
+    algebra = ALGEBRAS[args.algebra]
     # one value per index, so sorting the items never compares two values
     values = sorted(parse_expression(algebra, args.expr).eval_numeric(args.theta).items())
     if args.format == "text":

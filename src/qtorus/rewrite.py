@@ -8,6 +8,9 @@ from the swap matrix of the ambient algebra, which is built once, at import,
 from its relation rows (``RELATION_ROWS``) alone.  Those are exactly the
 adjacent swaps of a stable sort, so the sum is the sort's phase.  The pass
 runs a straight-line kernel made from that table (``order_kernel_source``).
+It folds a prefix once and continues each of a list of suffixes from the state
+the prefix left (:func:`normal_order_rows`); :func:`normal_order_exponent` is
+the case of one empty suffix.
 Nothing here reads a cocycle matrix, so agreement between
 :func:`normal_order` and ``AlgebraElement.__mul__`` is a genuine cross-check.
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .phases import PhaseScalar, phase_pow
 from .algebra import ALGEBRAS, AlgebraDescriptor, MultiIndex
@@ -36,6 +39,7 @@ __all__ = [
     "word_of_index",
     "normal_order",
     "normal_order_exponent",
+    "normal_order_rows",
     "order_kernel_source",
 ]
 
@@ -135,20 +139,32 @@ _SWAP: dict[str, tuple[tuple[int, ...], ...]] = {
 }
 
 def order_kernel_source(name: str) -> str:
-    """Python source of one algebra's ``kernel(seq) -> (s-exponent, index)``: a
-    branch per position b, adding the phase m[a][b] of each move past a later
-    position a (m the swap matrix); KeyError for a position not an int in range."""
+    """Python source of one algebra's ``kernel(prefix, suffixes)``: for each
+    suffix, ``(s-exponent, index)`` of the word ``prefix + suffix``.  The prefix
+    is folded once and each suffix continues from the state it left.  A letter
+    takes the branch of its position b, adding the phase m[a][b] of each move
+    past a later position a (m the swap matrix); KeyError for a position not an
+    int in range."""
     m = _SWAP[name]
     powers = [f"p{b}" for b in range(len(m))]
-    body = ""
+    state = ", ".join(["e", *powers])
+    letter = ["if type(b) is not int and not isinstance(b, int):", "    raise KeyError(b)"]
     for b in range(len(m)):
         moves = " + ".join(f"{m[a][b]}*p{a}" for a in range(b + 1, len(m)) if m[a][b])
-        phase = f"            e += ({moves})*r\n" if moves else ""
-        body += f"        {'elif' if b else 'if'} b == {b}:\n{phase}            p{b} += r\n"
-    return (f"def kernel(seq):\n    {' = '.join(powers)} = e = 0\n    for b, r in seq:\n"
-            "        if type(b) is not int and not isinstance(b, int):\n"
-            f"            raise KeyError(b)\n{body}        else:\n            raise KeyError(b)\n"
-            f"    return e, ({', '.join(powers)}{',' * (len(powers) == 1)})\n")
+        letter.append(f"{'elif' if b else 'if'} b == {b}:")
+        if moves:
+            letter.append(f"    e += ({moves})*r")
+        letter.append(f"    p{b} += r")
+    letter += ["else:", "    raise KeyError(b)"]
+
+    def fold(seq: str, indent: str) -> str:
+        return f"{indent}for b, r in {seq}:\n" + "".join(f"{indent}    {x}\n" for x in letter)
+
+    return (f"def kernel(prefix, suffixes):\n    {' = '.join(powers)} = e = 0\n"
+            f"{fold('prefix', '    ')}    start = {state}\n    out = []\n"
+            f"    for suffix in suffixes:\n        {state} = start\n{fold('suffix', '        ')}"
+            f"        out.append((e, ({', '.join(powers)}{',' * (len(powers) == 1)})))\n"
+            "    return out\n")
 
 
 @cache
@@ -180,10 +196,12 @@ def word_of_index(algebra: AlgebraDescriptor, idx: MultiIndex) -> Word:
     return Word(algebra, letters)
 
 
-def normal_order_exponent(
-    algebra: AlgebraDescriptor, seq: list[tuple[int, int]]
-) -> tuple[int, MultiIndex]:
-    """Core routine on raw (position, power) pairs; returns (s-exponent, index).
+def normal_order_rows(
+    algebra: AlgebraDescriptor,
+    prefix: Iterable[tuple[int, int]],
+    suffixes: Sequence[Iterable[tuple[int, int]]],
+) -> list[tuple[int, MultiIndex]]:
+    """(s-exponent, index) of the word ``prefix + suffix``, for each suffix in order.
 
     The algebra's order kernel makes one pass with running power sums: a
     letter (b, r) adds ``r * sum(rows[a][b] * powers[a] for a > b)``, where
@@ -192,16 +210,26 @@ def normal_order_exponent(
     left past each earlier letter (a, p) with a > b exactly once, the adjacent
     swap g_a^p g_b^r -> g_b^r g_a^p contributing ``rows[a][b] * p * r``, and
     equal positions never swap.  ``rows`` is the swap matrix of the relation
-    rows.  Inverses are negative powers; like generators merge by adding
-    their powers.  A position outside the algebra raises ``ValueError``.
+    rows.  The pass over the prefix is made once, and each suffix continues
+    from the powers and phase it left.  Inverses are negative powers; like
+    generators merge by adding their powers.  A position outside the algebra
+    raises ``ValueError``.
     """
     kernel = _order_kernel(algebra.name)
     try:
-        return kernel(seq)
+        return kernel(prefix, suffixes)
     except (KeyError, TypeError):
         # with every position good (a None power, say) the original error stands
-        _check_positions(algebra, (p for p, _ in seq))
+        _check_positions(algebra, (p for seq in (prefix, *suffixes) for p, _ in seq))
         raise
+
+
+def normal_order_exponent(
+    algebra: AlgebraDescriptor, seq: Iterable[tuple[int, int]]
+) -> tuple[int, MultiIndex]:
+    """(s-exponent, index) of one word of raw (position, power) pairs: the
+    case of :func:`normal_order_rows` with ``seq`` as the prefix and one empty suffix."""
+    return normal_order_rows(algebra, seq, ((),))[0]
 
 
 def normal_order(word: Word) -> tuple[PhaseScalar, MultiIndex]:

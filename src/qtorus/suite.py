@@ -12,6 +12,9 @@ collector, ``_run``, counts the trials, keeps the failures and builds the
 report.  Sixteen checks share three streams: ``_rows`` compares relation rows,
 ``_sampled`` applies a law to k random elements per trial, and ``_on_torus``
 applies one to the basis box [-3,3]^2 and then to random torus elements.
+``oracle-equivalence`` yields one outcome per pair of basis monomials, but in
+its two exhaustive boxes it does the exact work once per row (one left index):
+one product by the sum of the box's monomials and one normal-ordering pass.
 
 Checks draw their randomness from a generator seeded by (seed, check name),
 so reports are byte-identical for a fixed (seed, selection) and independent
@@ -39,7 +42,7 @@ from .algebra import (
     AlgebraElement,
     MultiIndex,
 )
-from .rewrite import RELATION_ROWS, normal_order_exponent, swap_exponent
+from .rewrite import RELATION_ROWS, normal_order_exponent, normal_order_rows, swap_exponent
 from .maps import (
     GENERATOR_IMAGES,
     MAPS,
@@ -332,18 +335,25 @@ def _oracle_pair_failure(
     algebra: AlgebraDescriptor,
     a: MultiIndex,
     b: MultiIndex,
-    prod: AlgebraElement,
+    xa: AlgebraElement,
+    xb: AlgebraElement,
     exponent: int,
     idx: MultiIndex,
+    probed: bool,
 ) -> str | None:
-    """The failure of a pair that disagrees or is probed, None if it passes."""
-    if prod.flat != {(idx, exponent): 1}:
+    """The failure of the pair delta^a * delta^b against the rewriting
+    s^exponent delta^idx, None if it passes.  A probed pair is also compared
+    at the numeric probes: its own product's evaluation against that of s^e."""
+    prod = xa * xb
+    if prod._terms != {(idx, exponent): _GR_ONE}:
         if len(prod.support) != 1:
             return f"{algebra.name} {a}x{b}: product is not a monomial"
         return (
             f"{algebra.name} {a}x{b}: product {prod.render()} vs "
             f"rewriting s^{exponent} delta^{idx}"
         )
+    if not probed:
+        return None
     for theta in THETA_PROBES:
         gap = abs(prod.eval_numeric(theta)[idx] - phase_pow(exponent).eval_numeric(theta))
         if gap > NUMERIC_TOL:
@@ -351,40 +361,54 @@ def _oracle_pair_failure(
     return None
 
 
-def _oracle_pairs(cfg: TrialConfig, rng: random.Random) -> Iterator[tuple]:
-    """(algebra, a, b, delta^a, delta^b, word of a then b): the box [-2,2]^d
-    squared for d=2,4, then random pairs for d=6."""
+def _oracle_equivalence(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcome]:
+    """Cocycle product vs normal ordering: the boxes [-2,2]^d squared for d=2,4,
+    then random pairs for d=6.
+
+    A box is checked one row (one left index a) at a time: the product of
+    delta^a by the sum of the box's basis monomials, one call, whose terms are
+    the pairs' products because a + b is injective in b, is compared in one
+    dict comparison with the row's normal orderings, one kernel pass that
+    folds a's word once.  A row that differs is redone pair by pair; if every
+    pair then agrees, the product by the sum is wrong and the row's last
+    outcome says so.  Every 97th pair, failing ones included, is probed: its
+    own product is compared exactly and at the numeric probes.
+    """
+    pairs = 0
     for algebra in (TORUS, P2):
         idxs = _box(2, algebra.d)
-        seqs = {a: tuple((p, k) for p, k in enumerate(a) if k) for a in idxs}
-        basis = {a: algebra.basis(a) for a in idxs}
-        for a in idxs:
-            xa, sa = basis[a], seqs[a]
-            for b in idxs:
-                yield algebra, a, b, xa, basis[b], sa + seqs[b]
+        words = [tuple((p, k) for p, k in enumerate(b) if k) for b in idxs]
+        basis = [algebra.basis(b) for b in idxs]
+        # every coefficient is _GR_ONE, which the row's dict comparison finds by identity
+        box_sum = AlgebraElement(algebra, dict.fromkeys(idxs, ONE))
+        for a, xa, word in zip(idxs, basis, words):
+            orders = normal_order_rows(algebra, word, words)
+            probe = (96 - pairs) % 97  # pair j of this row is probed if j % 97 == probe
+            pairs += len(idxs)
+            if (xa * box_sum)._terms == {(idx, e): _GR_ONE for e, idx in orders}:
+                outcomes = [None] * len(idxs)
+                for j in range(probe, len(idxs), 97):
+                    outcomes[j] = _oracle_pair_failure(
+                        algebra, a, idxs[j], xa, basis[j], *orders[j], True
+                    )
+            else:
+                outcomes = [
+                    _oracle_pair_failure(algebra, a, b, xa, xb, e, idx, j % 97 == probe)
+                    for j, (b, xb, (e, idx)) in enumerate(zip(idxs, basis, orders))
+                ]
+                if not any(outcomes):
+                    outcomes[-1] = (
+                        f"{algebra.name} {a}x[-2,2]^{algebra.d}: every pair agrees, "
+                        "but the product by their sum does not"
+                    )
+            yield from outcomes
     for _ in range(max(1000, cfg.trials)):
         a = tuple(rng.randint(-2, 2) for _ in range(6))
         b = tuple(rng.randint(-2, 2) for _ in range(6))
         seq = [(p, k) for x in (a, b) for p, k in enumerate(x) if k]
-        yield P3, a, b, P3.basis(a), P3.basis(b), seq
-
-
-def _oracle_equivalence(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcome]:
-    """Cocycle product vs normal ordering: exhaustive for d=2,4, random for d=6.
-
-    Every 97th pair is also compared at the numeric probes: the product's
-    own evaluation against that of the rewriting's phase s^e.  Other pairs
-    pass on one dict comparison, which finds the basis coefficient
-    ``_GR_ONE`` by identity.
-    """
-    probes = itertools.cycle([False] * 96 + [True])
-    for algebra, a, b, xa, xb, seq in _oracle_pairs(cfg, rng):
-        prod = xa * xb
-        exponent, idx = normal_order_exponent(algebra, seq)
-        if next(probes) or prod._terms != {(idx, exponent): _GR_ONE}:
-            yield _oracle_pair_failure(algebra, a, b, prod, exponent, idx)
-        else:
-            yield None
+        order = normal_order_exponent(P3, seq)
+        yield _oracle_pair_failure(P3, a, b, P3.basis(a), P3.basis(b), *order, pairs % 97 == 96)
+        pairs += 1
 
 
 def _confluence(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcome]:

@@ -6,7 +6,9 @@ first 97 or 300 outcomes, not run in full.  Under a phase defect the first
 300 outcomes (three probed pairs among them) are pinned by their sha256, which
 fixes every failure string and its position; under that defect and the
 numeric one together, the first 16,250 are, which fixes where the probes fall
-among failing pairs.
+among failing pairs.  The stream, which checks the boxes one row at a time,
+is also compared with a per-pair reference written out here, and defects
+planted in one product path only show which path each part of it runs.
 """
 
 import hashlib
@@ -14,8 +16,12 @@ import itertools
 import json
 import random
 
+import pytest
+
 from qtorus import suite
-from qtorus.algebra import AlgebraElement
+from qtorus.algebra import P2, TORUS, AlgebraElement
+from qtorus.phases import phase_pow
+from qtorus.rewrite import normal_order_exponent
 from qtorus.suite import TrialConfig
 from test_planted_defects import DEFECTS
 
@@ -84,3 +90,81 @@ def test_failing_pairs_use_up_their_probes(monkeypatch):
     )
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
     assert digest == "625b1d22ba279655e7d4de5063090ebb758d858bfe26aa9468fd5eefd0e3be23"
+
+
+def _per_pair_reference():
+    """The torus and p2 boxes checked pair by pair, written out apart from the
+    suite: one product and one normal ordering per pair, every 97th pair
+    probed."""
+    probes = itertools.cycle([False] * 96 + [True])
+    for algebra in (TORUS, P2):
+        box = list(itertools.product(range(-2, 3), repeat=algebra.d))
+        for a, b in itertools.product(box, box):
+            prod = algebra.basis(a) * algebra.basis(b)
+            seq = [(p, k) for x in (a, b) for p, k in enumerate(x) if k]
+            exponent, idx = normal_order_exponent(algebra, seq)
+            probed = next(probes)
+            label = f"{algebra.name} {a}x{b}: "
+            if prod.flat != {(idx, exponent): 1}:
+                if len(prod.support) != 1:
+                    yield label + "product is not a monomial"
+                else:
+                    yield label + f"product {prod.render()} vs rewriting s^{exponent} delta^{idx}"
+                continue
+            for theta in suite.THETA_PROBES if probed else ():
+                gap = abs(prod.eval_numeric(theta)[idx] - phase_pow(exponent).eval_numeric(theta))
+                if gap > suite.NUMERIC_TOL:
+                    yield label + f"numeric gap {gap:.3e} at theta={theta}"
+                    break
+            else:
+                yield None
+
+
+@pytest.mark.parametrize("plant", ["none", "phase-plus-2-sum-a", "product-index", "numeric"])
+def test_row_stream_equals_the_per_pair_reference(monkeypatch, plant):
+    # 20,000 outcomes: the torus box and the first 31 rows of the p2 box
+    if plant == "numeric":
+        _plant_numeric_defect(monkeypatch)
+    elif plant != "none":
+        DEFECTS[plant][0](monkeypatch)
+    assert _outcomes(20000) == list(itertools.islice(_per_pair_reference(), 20000))
+
+
+def _plant_on_products(monkeypatch, one_term):
+    """An extra s on every element product whose factors are both one-term
+    (``one_term``) or not both one-term (otherwise)."""
+    multiply = AlgebraElement.__mul__
+
+    def defective(self, other):
+        prod = multiply(self, other)
+        if isinstance(other, AlgebraElement) and one_term == (
+            len(self.flat) == 1 == len(other.flat)
+        ):
+            return prod.scale(phase_pow(1))
+        return prod
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", defective)
+
+
+def test_a_defect_in_one_term_products_only_fails_at_the_probes_and_on_p3(monkeypatch):
+    # The box rows multiply by a sum, so only each probed pair's own product
+    # and the p3 pairs, checked one by one, reach the defect.
+    _plant_on_products(monkeypatch, one_term=True)
+    outcomes = list(suite._oracle_equivalence(TrialConfig(seed=7), random.Random(7)))
+    box = 25 * 25 + 625 * 625
+    failing = [i for i, o in enumerate(outcomes) if o]
+    assert failing == [i for i in range(box) if i % 97 == 96] + list(range(box, box + 1000))
+    assert len(failing) == 5033
+    assert outcomes[96] == (
+        "torus (-2, 1)x(2, -1): product q^(-3/2) vs rewriting s^-4 delta^(0, 0)"
+    )
+
+
+def test_a_defect_in_multi_term_products_only_fails_each_row(monkeypatch):
+    # every pair agrees on its own, so each row's last outcome names the row
+    _plant_on_products(monkeypatch, one_term=False)
+    outcomes = _outcomes(50)
+    assert [i for i, o in enumerate(outcomes) if o] == [24, 49]
+    assert outcomes[24] == (
+        "torus (-2, -2)x[-2,2]^2: every pair agrees, but the product by their sum does not"
+    )

@@ -16,6 +16,7 @@ from qtorus.rewrite import (
     Word,
     normal_order,
     normal_order_exponent,
+    normal_order_rows,
     swap_exponent,
     word_of_index,
 )
@@ -301,3 +302,25 @@ def test_normal_order_matches_adjacent_swap_bubble_sort(case):
     before = list(seq)
     assert normal_order_exponent(algebra, seq) == _bubble_sort_exponent(algebra, seq)
     assert seq == before
+
+
+def test_normal_order_rows_are_the_words_prefix_then_suffix():
+    rng = random.Random(13)
+    for algebra in ALGEBRAS.values():
+
+        def word():
+            return [(rng.randrange(algebra.d), rng.choice([-2, -1, 1, 3]))
+                    for _ in range(rng.randint(0, 5))]
+
+        for _ in range(20):
+            prefix, suffixes = word(), [word() for _ in range(rng.randint(0, 5))]
+            assert normal_order_rows(algebra, prefix, suffixes) == [
+                _bubble_sort_exponent(algebra, prefix + suffix) for suffix in suffixes
+            ]
+
+
+def test_normal_order_rows_name_a_bad_position_in_any_suffix():
+    with pytest.raises(ValueError, match="position 2 out of range for 'torus'"):
+        normal_order_rows(TORUS, [(0, 1)], [[(1, 1)], [(0, 1), (2, 1)]])
+    with pytest.raises(TypeError):
+        normal_order_rows(TORUS, [(0, 1)], [[(1, 1)], [(0, None)]])
