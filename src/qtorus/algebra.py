@@ -8,9 +8,12 @@ basis monomial, ``e`` the s-exponent, ``c`` a nonzero Gaussian rational.  The
 one product is delta^(a,e) * delta^(b,f) = delta^(a+b, e+f+phi(a,b)), with
 phi an integer bilinear form in s-exponent units (an entry of 2 is one full
 power of q); bilinearity makes it associative, which the test suite verifies
-rather than assumes.  The product runs a kernel generated from the cocycle on
-first use, one straight-line function (a, b) -> (a+b, phi(a,b)) whose text is
-``kernel_source``.  Sorted keys (a, e) give the canonical rendering order.
+rather than assumes.  The product runs two functions generated from the
+cocycle on first use: the straight-line kernel (a, b) -> (a+b, phi(a,b)),
+whose text is ``kernel_source``, and, when the left factor is one term, the
+row function (a, e, keys) -> [(a+b, e+f+phi(a,b)) for (b, f) in keys], which
+works out c = a^T Phi once, so that phi(a, b) = c . b, and whose text is
+``row_source``.  Sorted keys (a, e) give the canonical rendering order.
 
 The scalars are the elements of the rank-0 algebra ``POINT`` (d = 0, not in
 ``ALGEBRAS``), each a :class:`PhaseScalar`.  A scalar acts on every algebra
@@ -250,10 +253,10 @@ def _sum_text(terms) -> str:
     return join_signed(parts) if parts else "0"
 
 
-def _compile_kernel(source: str):
-    """The function ``kernel`` that ``source`` defines, compiled once."""
+def _compile_kernel(source: str, name: str = "kernel"):
+    """The function ``name`` that ``source`` defines, compiled once."""
     exec(source, namespace := {})
-    return namespace["kernel"]
+    return namespace[name]
 
 
 def _term_text(e: int, c: GaussianRational) -> str:
@@ -298,6 +301,25 @@ class AlgebraDescriptor:
     @cached_property
     def _kernel(self):
         return _compile_kernel(self.kernel_source)
+
+    @cached_property
+    def row_source(self) -> str:
+        """Python source of ``row(a, e, keys) -> [(a + b, e + f + phi(a, b)) for (b, f)
+        in keys]``, the flat keys of delta^(a,e) times each delta^(b,f): phi(a, b) is
+        c . b with c = a^T Phi worked out once per call, one ``c`` per nonzero column."""
+        a, b = ([f"{x}{i}" for i in range(self.d)] for x in "ab")
+        columns = [(j, _sum_text((m[j], f"a{i}") for i, m in enumerate(self.cocycle)))
+                   for j in range(self.d)]
+        columns = [(j, c) for j, c in columns if c != "0"]
+        phase = _sum_text([(1, "e"), (1, "f"), *((1, f"c{j}*b{j}") for j, _ in columns)])
+        return (f"def row(a, e, keys):\n    {_tuple_text(a)} = a\n"
+                + "".join(f"    c{j} = {c}\n" for j, c in columns)
+                + f"    return [({_tuple_text([f'{x} + {y}' for x, y in zip(a, b)])}, {phase})\n"
+                f"            for {_tuple_text(b)}, f in keys]\n")
+
+    @cached_property
+    def _row(self):
+        return _compile_kernel(self.row_source, "row")
 
     def phase_exponent(self, a: MultiIndex, b: MultiIndex) -> int:
         """s-exponent picked up by delta^a * delta^b."""
@@ -450,10 +472,12 @@ class AlgebraElement:
         return AlgebraElement._raw(self.algebra, {k: v for k, v in out.items() if v})
 
     def __mul__(self, other: "AlgebraElement | ScalarLike") -> "AlgebraElement":
-        """The product; a number scales.  The algebra's kernel gives ``a + b``
-        and ``phi(a, b)`` once per pair of index runs (adjacent flat terms
-        sharing an index); the coefficients are multiplied once per pair of
-        flat terms."""
+        """The product; a number scales.  A one-term left factor delta^(a,e)
+        takes the algebra's row function, which gives every key
+        ``(a + b, e + f + phi(a, b))`` of the product in one call.  Otherwise the
+        algebra's kernel gives ``a + b`` and ``phi(a, b)`` once per pair of index
+        runs (adjacent flat terms sharing an index).  The coefficients are
+        multiplied once per pair of flat terms."""
         if isinstance(other, AlgebraElement):
             algebra = self.algebra
             if other.algebra is not algebra:
@@ -465,6 +489,13 @@ class AlgebraElement:
                 ((b, f), d), = right.items()
                 ab, g = kernel(a, b)
                 return AlgebraElement._raw(algebra, {(ab, e + f + g): d if c is _GR_ONE else c * d})
+            if len(left) == 1:
+                # b -> a + b is injective and the f of one index are distinct, so
+                # no two keys merge, and no product of nonzero coefficients is zero
+                ((a, e), c), = left.items()
+                coefficients = right.values() if c is _GR_ONE else [c * d for d in right.values()]
+                out = dict(zip(algebra._row(a, e, right), coefficients))
+                return AlgebraElement._raw(algebra, out)
             out = {}
             a_run = None
             for (a, e), c in left.items():
@@ -507,18 +538,25 @@ class AlgebraElement:
 
     def eval_numeric(self, theta: float) -> dict[MultiIndex, complex]:
         """Coefficientwise evaluation at s = exp(i*pi*theta), i.e. q = exp(2*pi*i*theta); each
-        index sums its terms' real and imaginary parts by ``math.fsum``, in any order alike."""
+        index sums its terms' real and imaginary parts by ``math.fsum``, in any order alike.
+
+        A coefficient or s-exponent too large for a float, or a sum that overflows, raises
+        ``OverflowError`` naming the index; a value that overflows only in the product
+        c * s**e has an infinite part."""
         # s has period 2 in theta; the reduction is exact and keeps pi*theta finite
         base = cmath.exp(1j * math.pi * math.fmod(theta, 2.0))
         out: dict[MultiIndex, complex] = {}
         several: dict[MultiIndex, list[complex]] = {}  # the terms of each index that has several
-        for (a, e), c in self._terms.items():
-            z = 0j + c.to_complex() * base**e  # 0j + turns a -0.0 part into 0.0
-            if a in out:
-                several.setdefault(a, [out[a]]).append(z)
-            out[a] = z
-        for a, zs in several.items():
-            out[a] = 0j + complex(fsum(z.real for z in zs), fsum(z.imag for z in zs))
+        try:
+            for (a, e), c in self._terms.items():
+                z = 0j + c.to_complex() * base**e  # 0j + turns a -0.0 part into 0.0
+                if a in out:
+                    several.setdefault(a, [out[a]]).append(z)
+                out[a] = z
+            for a, zs in several.items():
+                out[a] = 0j + complex(fsum(z.real for z in zs), fsum(z.imag for z in zs))
+        except (OverflowError, ValueError):  # fsum raises ValueError on inf - inf
+            raise OverflowError(f"the value at index {a} is outside float range") from None
         return out
 
     def render(self) -> str:

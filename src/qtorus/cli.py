@@ -108,6 +108,9 @@ def _cmd_eval(args) -> int:
     algebra = ALGEBRAS[args.algebra]
     # one value per index, so sorting the items never compares two values
     values = sorted(parse_expression(algebra, args.expr).eval_numeric(args.theta).items())
+    for idx, z in values:
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise OverflowError(f"the value at index {idx} is outside float range")
     if args.format == "text":
         for idx, z in values:
             print(f"{algebra.monomial_text(idx) or '1'}: {_format_complex(z)}")
@@ -180,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

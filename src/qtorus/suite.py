@@ -168,6 +168,8 @@ def _box(bound: int, d: int) -> list[MultiIndex]:
 def _numeric_gap_elements(lhs: AlgebraElement, rhs: AlgebraElement, theta: float) -> float:
     lv = lhs.eval_numeric(theta)
     rv = rhs.eval_numeric(theta)
+    if lv == rv:  # what the loop gives: equal values differ by 0.0, or by nan, which max skips
+        return 0.0
     gap = 0.0
     for idx in lv.keys() | rv.keys():
         gap = max(gap, abs(lv.get(idx, 0j) - rv.get(idx, 0j)))

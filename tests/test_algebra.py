@@ -107,6 +107,11 @@ def test_product_kernel_matches_the_cocycle_summed_over_the_whole_matrix(algebra
         expected = [(tuple(map(add, a, b)), sum(map(mul, row, b))) for b in bs]
         assert [kernel(a, b) for b in bs] == expected, a
         assert algebra.phase_exponent(a, bs[-1]) == expected[-1][1], a
+        # the row function: every key of delta^(a,5) times delta^(b,f), s-exponents f of -1, 0, 1
+        keys = [(b, k % 3 - 1) for k, b in enumerate(bs)]
+        assert algebra._row(a, 5, keys) == [
+            (ab, 5 + f + g) for (ab, g), (_, f) in zip(expected, keys)
+        ], a
 
 
 def test_p2_kernel_source_is_pinned():
@@ -429,3 +434,22 @@ def test_one_term_product_matches_the_reference(algebra):
         prod = left * right
         assert len(prod.flat) == 1
         assert raw_of(prod) == _product_by_definition(left, right)
+
+
+@pytest.mark.parametrize("algebra", list(ALGEBRAS.values()), ids=list(ALGEBRAS))
+def test_one_term_by_many_product_matches_the_reference(algebra):
+    # the one-term-left path: several s-powers at each right index, which never merge
+    indices = [(1, -2, 3, 0, -1, 2), (-3, 1, 2, -2, 1, 1), (0,) * 6, (2, 2, -1, 1, 0, -2)]
+    y = AlgebraElement(algebra, {
+        b[: algebra.d]: PhaseScalar({
+            k: GaussianRational(k + 1, -1), k + 3: Fraction(-1, k + 2), -4: GaussianRational(0, 1),
+        })
+        for k, b in enumerate(indices)
+    })
+    a = (2, -1, 1, 3, -2, 0)[: algebra.d]
+    coefficient = PhaseScalar({3: GaussianRational(Fraction(2, 3), -1)})
+    assert len(y.flat) == 12
+    for x in (algebra.basis(a), AlgebraElement(algebra, {a: coefficient})):
+        prod = x * y
+        assert len(prod.flat) == len(y.flat)
+        assert raw_of(prod) == _product_by_definition(x, y)

@@ -281,6 +281,32 @@ def test_eval_rejects_non_finite_theta(capsys, theta):
     assert "theta must be a finite number" in captured.err
 
 
+# a coefficient that is a float on its own, but not twice over
+BIG = int(1.5e308)
+
+
+@pytest.mark.parametrize("theta, fmt, expr", [
+    ("0.1", "text", f"q^({'9' * 320})*U"),  # s-exponent too large for a float
+    ("0.1", "text", f"{'9' * 400}*U"),  # coefficient too large for a float
+    ("0", "text", f"{BIG}*U + {BIG}*q*U"),  # the sum of two floats overflows
+    ("0.25", "json", f"({BIG} + {BIG}*i)*q^(1/2)*U"),  # the term c * s^e overflows
+    ("0.25", "text", f"({BIG} + {BIG}*i)*q^(1/2)*U"),
+    ("0.25", "text", f"({BIG} + {BIG}*i)*(q^(1/2) + q^(5/2))*U"),  # inf - inf
+], ids=["s-exponent", "coefficient", "sum", "term-json", "term-text", "inf-minus-inf"])
+def test_eval_of_a_value_outside_float_range_exits_2(theta, fmt, expr):
+    code, out, err = _run_main(["eval", "--theta", theta, "--format", fmt, "--algebra", "torus",
+                                expr])
+    assert (code, out) == (2, "")
+    assert err == "error: the value at index (1, 0) is outside float range\n"
+
+
+def test_eval_of_a_large_finite_value_prints_it():
+    code, out, err = _run_main(["eval", "--theta", "0", "--format", "json", "--algebra", "torus",
+                                f"{BIG}*U"])
+    assert code == 0 and not err
+    assert json.loads(out)["coefficients"] == [{"index": [1, 0], "re": 1.5e308, "im": 0.0}]
+
+
 @pytest.mark.parametrize("theta", ["1e300", "1e308", "-1e308", "2", "-4"])
 def test_eval_reduces_theta_mod_2(capsys, theta):
     # each of these is an even integer, so s = 1; pi * 1e308 overflows unreduced

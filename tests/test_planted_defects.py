@@ -39,10 +39,21 @@ def _failing_and_digest() -> tuple[set[str], str]:
     return {r.name for r in reports if r.failures}, hashlib.sha256(text.encode()).hexdigest()
 
 
+def _row_of(kernel):
+    """The row function of the pair kernel ``kernel``: one call per right key."""
+    def row(a, e, keys):
+        return [(ab, e + f + g) for b, f in keys for ab, g in [kernel(a, b)]]
+
+    return row
+
+
 def _plant_kernels(monkeypatch, defective):
-    """Give every descriptor the product kernel ``defective(kernel)`` made from its own."""
+    """Give every descriptor the product kernel ``defective(kernel)`` made from its
+    own, and the row function made from that kernel."""
     for algebra in DESCRIPTORS:
-        monkeypatch.setitem(algebra.__dict__, "_kernel", defective(algebra._kernel))
+        kernel = defective(algebra._kernel)
+        monkeypatch.setitem(algebra.__dict__, "_kernel", kernel)
+        monkeypatch.setitem(algebra.__dict__, "_row", _row_of(kernel))
 
 
 def _extra_phase(term):
@@ -179,9 +190,14 @@ def test_every_shared_loop_check_catches_a_planted_defect():
 
 
 def _images():
-    """Products of two basis monomials in each algebra and each map's image of one."""
-    a, b = (1, 1, 1, 1, 1, 1), (1, -1, 2, 1, -2, 1)
-    products = [x.basis(a[:x.d]) * x.basis(b[:x.d]) for x in ALGEBRAS.values()]
+    """In each algebra, the product of two basis monomials and of one by a sum of
+    two; and each map's image of a basis monomial."""
+    a, b, c = (1, 1, 1, 1, 1, 1), (1, -1, 2, 1, -2, 1), (-1, 2, 0, 1, 1, -2)
+    products = [
+        x.basis(a[:x.d]) * y
+        for x in ALGEBRAS.values()
+        for y in (x.basis(b[:x.d]), x.basis(b[:x.d]) + x.basis(c[:x.d]))
+    ]
     return products, [f(f.source.basis(a[:f.source.d])) for f in MAPS.values()]
 
 
@@ -190,6 +206,12 @@ def _images():
     "counit-no-phase", "product-index",
 ])
 def test_each_kernel_plant_changes_a_product_or_map_image(monkeypatch, defect):
-    before = _images()
+    products, images = _images()
     DEFECTS[defect][0](monkeypatch)
-    assert _images() != before, f"{defect} no longer reaches a product or map kernel"
+    planted_products, planted_images = _images()
+    changed = [x != y for x, y in zip(products, planted_products)]
+    # a product plant reaches the one-term-by-sum products as well as the pairs
+    assert all(changed) or not any(changed), f"{defect} misses a product path"
+    assert any(changed) or planted_images != images, (
+        f"{defect} no longer reaches a product or map kernel"
+    )

@@ -1,5 +1,5 @@
 """The README quick start runs, each value prints as its comment says, and the
-p2 kernel the README shows is the one that runs."""
+p2 kernels the README shows are the ones that run."""
 
 import os
 import re
@@ -35,4 +35,6 @@ def test_quick_start_comments_are_what_the_library_prints():
 
 def test_the_p2_kernel_shown_is_the_one_that_runs():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
-        assert f"```python\n{P2.kernel_source}```" in f.read()
+        text = f.read()
+    assert f"```python\n{P2.kernel_source}```" in text
+    assert f"```python\n{P2.row_source}```" in text
