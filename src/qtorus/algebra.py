@@ -213,14 +213,19 @@ class GaussianRational:
 
 
 def _reduced(a: int, b: int, d: int) -> GaussianRational:
-    """(a + b*i) / d for d > 0, divided through by the common gcd."""
+    """(a + b*i) / d for d > 0, divided through by the common gcd; the triple
+    is built here, as ``GaussianRational._raw`` would, one call the fewer."""
     if d != 1:
         g = gcd(a, b, d)
         if g != 1:
             a //= g
             b //= g
             d //= g
-    return GaussianRational._raw(a, b, d)
+    self = _new_object(GaussianRational)
+    self._a = a
+    self._b = b
+    self._d = d
+    return self
 
 
 _GR_ONE = GaussianRational(1)
@@ -339,7 +344,7 @@ class AlgebraDescriptor:
             raise ValueError(
                 f"index length {len(idx)} does not match algebra {self.name!r} (d={self.d})"
             )
-        if not all(isinstance(k, int) for k in idx):
+        if not all(type(k) is int for k in idx):  # bool is an int, but no index entry
             raise TypeError(f"index entries must be integers: {idx!r}")
         return idx
 
@@ -400,7 +405,8 @@ class AlgebraElement:
 
     @staticmethod
     def _raw(algebra: AlgebraDescriptor, terms: dict) -> "AlgebraElement":
-        """The flat terms as they are, none zero; an element of ``POINT`` is a ``PhaseScalar``."""
+        """The flat terms as they are, none zero: every loop that sums terms drops a sum
+        that cancels at its merge.  An element of ``POINT`` is a ``PhaseScalar``."""
         self = _new_object(PhaseScalar if algebra is POINT else AlgebraElement)
         self.algebra = algebra
         self._terms = terms
@@ -451,7 +457,8 @@ class AlgebraElement:
         return self + (-other)
 
     def scale(self, c: ScalarLike) -> "AlgebraElement":
-        """c * self for a scalar c: s-exponents add and coefficients multiply."""
+        """c * self for a scalar c: s-exponents add and coefficients multiply.  With
+        several s-powers in c, terms can merge; a sum that cancels is dropped at its merge."""
         if not isinstance(c, PhaseScalar):
             c = PhaseScalar(c)
         terms = self._terms
@@ -468,8 +475,15 @@ class AlgebraElement:
                 key = (a, e + f)
                 p = w * v
                 acc = out.get(key)
-                out[key] = p if acc is None else acc + p
-        return AlgebraElement._raw(self.algebra, {k: v for k, v in out.items() if v})
+                if acc is None:
+                    out[key] = p
+                else:
+                    acc = acc + p
+                    if acc:
+                        out[key] = acc
+                    else:
+                        del out[key]
+        return AlgebraElement._raw(self.algebra, out)
 
     def __mul__(self, other: "AlgebraElement | ScalarLike") -> "AlgebraElement":
         """The product; a number scales.  A one-term left factor delta^(a,e)
@@ -477,7 +491,8 @@ class AlgebraElement:
         ``(a + b, e + f + phi(a, b))`` of the product in one call.  Otherwise the
         algebra's kernel gives ``a + b`` and ``phi(a, b)`` once per pair of index
         runs (adjacent flat terms sharing an index).  The coefficients are
-        multiplied once per pair of flat terms."""
+        multiplied once per pair of flat terms, and each product is added where its
+        key merges; a sum that cancels is dropped there, so no pass filters zeros."""
         if isinstance(other, AlgebraElement):
             algebra = self.algebra
             if other.algebra is not algebra:
@@ -510,12 +525,15 @@ class AlgebraElement:
                     key = (ab, e + g)
                     p = d if c is _GR_ONE else c * d
                     acc = out.get(key)
-                    out[key] = p if acc is None else acc + p
-            # no key merged, so no sum could cancel: a product of nonzero
-            # Gaussian rationals is never zero
-            if len(out) == len(left) * len(right):
-                return AlgebraElement._raw(algebra, out)
-            return AlgebraElement._raw(algebra, {k: c for k, c in out.items() if c})
+                    if acc is None:
+                        out[key] = p
+                    else:
+                        acc = acc + p
+                        if acc:
+                            out[key] = acc
+                        else:
+                            del out[key]
+            return AlgebraElement._raw(algebra, out)
         if isinstance(other, _NUMBERS):
             return self.scale(other)
         return NotImplemented
@@ -598,7 +616,7 @@ class AlgebraElement:
         for idx, coeff in records:
             idx = algebra.check_index(idx)
             for e, rn, rd, imn, imd in coeff:
-                if not isinstance(e, int):
+                if type(e) is not int:  # not a bool either
                     raise TypeError(f"s-exponent must be an integer, got {e!r}")
                 if (idx, e) in terms:
                     raise ValueError(f"s-exponent {e} repeated at index {idx}")
@@ -623,7 +641,7 @@ class PhaseScalar(AlgebraElement):
             terms = {0: terms}
         flat = {}
         for e, c in dict(terms).items():
-            if not isinstance(e, int):
+            if type(e) is not int:  # not a bool either
                 raise TypeError(f"s-exponent must be an integer, got {e!r}")
             c = GaussianRational.from_value(c)
             if c:

@@ -67,7 +67,8 @@ class LinearMap:
     (i, j, m), each meaning m * a[i] * a[j]; ``linear`` is its linear part,
     empty or one integer per source generator.  Applying the map moves each
     flat term (a, e) -> c to (A a, e + P(a)) -> c, with (A a, P(a)) from
-    ``image(a)``, and merges them, so f(x + c*y) = f(x) + c*f(y) as built.
+    ``image(a)``, and merges them, so f(x + c*y) = f(x) + c*f(y) as built; a sum
+    that cancels is dropped at its merge.
     """
 
     name: str
@@ -104,8 +105,15 @@ class LinearMap:
             b, g = image(a)
             key = (b, e + g)
             acc = out.get(key)
-            out[key] = c if acc is None else acc + c
-        return AlgebraElement._raw(self.target, {k: c for k, c in out.items() if c})
+            if acc is None:
+                out[key] = c
+            else:
+                acc = acc + c
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+        return AlgebraElement._raw(self.target, out)
 
     @cached_property
     def kernel_source(self) -> str:

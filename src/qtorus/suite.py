@@ -152,8 +152,15 @@ def random_element(
             key = (idx, rng.randint(-4, 4))
             coeff = rng.choice(COEFF_POOL)
             acc = terms.get(key)
-            terms[key] = coeff if acc is None else acc + coeff
-        element = AlgebraElement._raw(algebra, {k: c for k, c in terms.items() if c})
+            if acc is None:
+                terms[key] = coeff
+            else:
+                acc = acc + coeff
+                if acc:
+                    terms[key] = acc
+                else:
+                    del terms[key]
+        element = AlgebraElement._raw(algebra, terms)
         if element:
             return element
 

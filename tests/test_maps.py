@@ -107,6 +107,15 @@ def test_map_sums_can_cancel():
     assert image == ZERO and image.render() == "0"
     collapsed = mult_map(P2.generator("U1") - P2.generator("U2"))
     assert collapsed == TORUS.zero() and collapsed.render() == "0"
+    u, v = TORUS.generator("U"), TORUS.generator("V")
+    assert counit(u - v) == ZERO and not counit(u - v).flat
+    # V1 U2 goes to q^(-1) U V, so its sum with -q^(-1) U1 V1 cancels; the sum at U
+    # cancels at U2 and is added back at U1^2 U2^-1
+    x = (P2.basis((0, 1, 1, 0)) - phase_pow(-2) * P2.basis((1, 1, 0, 0))
+         + P2.generator("U1") - P2.generator("U2") + P2.basis((2, 0, -1, 0)))
+    image = mult_map(x)
+    assert image == u and all(image.flat.values())
+    assert image == _reference_apply(REFERENCE_RULES["mu"], x)
 
 
 def test_map_data_shapes_are_validated():

@@ -5,6 +5,10 @@ with ``Fraction`` parts, and multiplies by the definition: convolution of the
 supports, coefficients multiplied as complex numbers on those pairs, and the
 s-exponent of each pair raised by the cocycle form summed over the whole
 matrix.  Only the algebra's ``cocycle`` matrix is read from the library.
+
+Two strategies feed it: plain data built into elements, and elements built
+from library scalars (``ONE``, ``phase_pow`` and multi-term ``PhaseScalar``),
+read back as plain data by ``raw_of``.
 """
 
 from fractions import Fraction
@@ -13,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtorus.algebra import ALGEBRAS, AlgebraElement
-from qtorus.phases import GaussianRational, PhaseScalar
+from qtorus.phases import ONE, GaussianRational, PhaseScalar, phase_pow
 
 # the fractions in [-3, 3] with denominator at most 3, simplest first (which
 # is where hypothesis shrinks to); drawn from a fixed list, which is much
@@ -84,3 +88,44 @@ def test_product_matches_the_plain_data_reference(case):
     got = build(algebra, left) * build(algebra, right)
     assert got.algebra is algebra
     assert raw_of(got) == reference_product(algebra.cocycle, left, right)
+
+
+def product_by_definition(x, y):
+    """x * y by the plain-Fraction reference, which shares no arithmetic with qtorus."""
+    return reference_product(x.algebra.cocycle, raw_of(x), raw_of(y))
+
+
+# one-term coefficients (1 among them) and multi-term ones, so the product
+# runs every branch of the scalar product
+coefficients = st.one_of(
+    st.just(ONE),
+    st.integers(-4, 4).map(phase_pow),
+    st.dictionaries(
+        st.integers(-4, 4),
+        st.builds(GaussianRational, small_fractions, small_fractions),
+        min_size=1,
+        max_size=3,
+    ).map(PhaseScalar),
+)
+
+
+def coefficient_elements(algebra):
+    idx = st.tuples(*([st.integers(-2, 2)] * algebra.d))
+    return st.dictionaries(idx, coefficients, max_size=4).map(
+        lambda support: AlgebraElement(algebra, support)
+    )
+
+
+pairs_of_elements = st.one_of([
+    st.tuples(coefficient_elements(algebra), coefficient_elements(algebra))
+    for algebra in ALGEBRAS.values()
+])
+
+
+@given(pairs_of_elements)
+@settings(max_examples=200, deadline=None)
+def test_product_matches_its_term_by_term_definition(pair):
+    x, y = pair
+    prod = x * y
+    assert all(prod.flat.values())
+    assert raw_of(prod) == product_by_definition(x, y)

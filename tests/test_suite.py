@@ -1,8 +1,11 @@
 """Harness mechanics: determinism, coverage, reports, the random generator."""
 
+import random
+
 import pytest
 
-from qtorus.algebra import ALGEBRAS, P2, TORUS
+from qtorus.algebra import ALGEBRAS, CIRCLE, P2, TORUS
+from qtorus.phases import PhaseScalar
 from qtorus.suite import (
     CHECKS,
     COEFF_POOL,
@@ -63,6 +66,18 @@ def test_random_element_contracts():
             assert all(-3 <= k <= 3 for k in idx)
         for coeff in x.support.values():
             assert all(-4 <= e <= 4 for e in coeff.terms)
+
+
+def test_random_element_drops_a_sum_that_cancels():
+    # up to 50 draws on the 27 keys of [-1, 1] x s^[-4, 4]: at this seed the sum
+    # at one key cancels, and no later draw lands on that key
+    x = random_element(CIRCLE, TrialConfig(seed=26, max_support=50, exponent_bound=1))
+    rng, replay = random.Random(26), CIRCLE.zero()
+    for _ in range(rng.randint(1, 50)):
+        idx, e = (rng.randint(-1, 1),), rng.randint(-4, 4)
+        replay = replay + PhaseScalar({e: rng.choice(COEFF_POOL)}) * CIRCLE.basis(idx)
+    assert x == replay
+    assert all(x.flat.values())
 
 
 def test_run_suite_determinism():
