@@ -5,111 +5,19 @@ deformed tensor square and cube, the comultiplication / counit / antipode /
 multiplication structure maps between them, a normal-ordering oracle driven
 purely by the generator relations, and a seeded verification suite checking
 every identity exactly.
+
+The package re-exports the ``__all__`` of each of its modules.
 """
 
-from .phases import (
-    ONE,
-    ZERO,
-    GaussianRational,
-    ParseError,
-    PhaseScalar,
-    parse_phase,
-    phase_pow,
-)
-from .algebra import (
-    ALGEBRAS,
-    CIRCLE,
-    P2,
-    P3,
-    POINT,
-    TORUS,
-    AlgebraDescriptor,
-    AlgebraElement,
-    MultiIndex,
-)
-from .rewrite import (
-    RELATION_ROWS,
-    GeneratorSymbol,
-    Word,
-    normal_order,
-    normal_order_exponent,
-    swap_exponent,
-    word_of_index,
-)
-from .maps import (
-    MAPS,
-    LinearMap,
-    antipode,
-    circle_comult,
-    comult,
-    counit,
-    embed_left,
-    embed_right,
-    lift_left_antipode,
-    lift_left_comult,
-    lift_left_counit,
-    lift_right_antipode,
-    lift_right_comult,
-    lift_right_counit,
-    mult_map,
-)
-from .suite import (
-    CHECKS,
-    DEFAULT_SELECTION,
-    CheckReport,
-    TrialConfig,
-    random_element,
-    run_suite,
-)
-from .cli import main, parse_expression
+from . import algebra, cli, maps, phases, rewrite, suite
+from .algebra import *
+from .phases import *
+from .rewrite import *
+from .maps import *
+from .suite import *
+from .cli import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ONE",
-    "ZERO",
-    "GaussianRational",
-    "ParseError",
-    "PhaseScalar",
-    "parse_phase",
-    "phase_pow",
-    "ALGEBRAS",
-    "CIRCLE",
-    "P2",
-    "P3",
-    "POINT",
-    "TORUS",
-    "AlgebraDescriptor",
-    "AlgebraElement",
-    "MultiIndex",
-    "RELATION_ROWS",
-    "GeneratorSymbol",
-    "Word",
-    "normal_order",
-    "normal_order_exponent",
-    "swap_exponent",
-    "word_of_index",
-    "MAPS",
-    "LinearMap",
-    "antipode",
-    "circle_comult",
-    "comult",
-    "counit",
-    "embed_left",
-    "embed_right",
-    "lift_left_antipode",
-    "lift_left_comult",
-    "lift_left_counit",
-    "lift_right_antipode",
-    "lift_right_comult",
-    "lift_right_counit",
-    "mult_map",
-    "CHECKS",
-    "DEFAULT_SELECTION",
-    "CheckReport",
-    "TrialConfig",
-    "random_element",
-    "run_suite",
-    "main",
-    "parse_expression",
-]
+__all__ = sorted({name for module in (algebra, phases, rewrite, maps, suite, cli)
+                  for name in module.__all__})

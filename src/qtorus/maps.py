@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import CIRCLE, P2, P3, POINT, TORUS, AlgebraDescriptor, AlgebraElement
-from .algebra import _compile_kernel, _sum_text, _tuple_text
+from .algebra import _compile_kernel, _merge_into, _sum_text, _tuple_text
 
 __all__ = [
     "LinearMap",
@@ -67,8 +67,8 @@ class LinearMap:
     (i, j, m), each meaning m * a[i] * a[j]; ``linear`` is its linear part,
     empty or one integer per source generator.  Applying the map moves each
     flat term (a, e) -> c to (A a, e + P(a)) -> c, with (A a, P(a)) from
-    ``image(a)``, and merges them, so f(x + c*y) = f(x) + c*f(y) as built; a sum
-    that cancels is dropped at its merge.
+    ``image(a)``, and merges them by ``_merge_into``, so f(x + c*y) = f(x) + c*f(y)
+    as built; a sum that cancels is dropped at its merge.
     """
 
     name: str
@@ -100,20 +100,8 @@ class LinearMap:
                 f"got {x.algebra.name!r}"
             )
         image = self.image
-        out = {}
-        for (a, e), c in x._terms.items():
-            b, g = image(a)
-            key = (b, e + g)
-            acc = out.get(key)
-            if acc is None:
-                out[key] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        return AlgebraElement._raw(self.target, out)
+        pairs = [((b, e + g), c) for (a, e), c in x._terms.items() for b, g in [image(a)]]
+        return AlgebraElement._raw(self.target, _merge_into({}, pairs))
 
     @cached_property
     def kernel_source(self) -> str:

@@ -29,7 +29,7 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from .phases import PhaseScalar, phase_pow
-from .algebra import ALGEBRAS, AlgebraDescriptor, MultiIndex
+from .algebra import ALGEBRAS, AlgebraDescriptor, MultiIndex, _compile_kernel
 
 __all__ = [
     "GeneratorSymbol",
@@ -169,8 +169,7 @@ def order_kernel_source(name: str) -> str:
 
 @cache
 def _order_kernel(name: str):
-    exec(order_kernel_source(name), namespace := {})
-    return namespace["kernel"]
+    return _compile_kernel(order_kernel_source(name))
 
 
 def _check_positions(algebra: AlgebraDescriptor, positions: Iterable[int]) -> None:

@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .phases import ONE, GaussianRational, phase_pow
 from .algebra import (
     _GR_ONE,
+    _merge_into,
     ALGEBRAS,
     P2,
     P3,
@@ -146,20 +147,12 @@ def random_element(
         rng = random.Random(cfg.seed)
     bound = cfg.exponent_bound
     while True:
-        terms: dict[tuple[MultiIndex, int], GaussianRational] = {}
-        for _ in range(rng.randint(1, cfg.max_support)):
-            idx = tuple(rng.randint(-bound, bound) for _ in range(algebra.d))
-            key = (idx, rng.randint(-4, 4))
-            coeff = rng.choice(COEFF_POOL)
-            acc = terms.get(key)
-            if acc is None:
-                terms[key] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    terms[key] = acc
-                else:
-                    del terms[key]
+        # each term draws its index, then its s-exponent, then its coefficient
+        terms = _merge_into({}, (
+            ((tuple(rng.randint(-bound, bound) for _ in range(algebra.d)), rng.randint(-4, 4)),
+             rng.choice(COEFF_POOL))
+            for _ in range(rng.randint(1, cfg.max_support))
+        ))
         element = AlgebraElement._raw(algebra, terms)
         if element:
             return element

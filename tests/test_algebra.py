@@ -340,6 +340,22 @@ def test_a_bool_s_exponent_is_rejected_like_a_float(exponent):
             AlgebraElement.from_records(TORUS, json.loads("[[[1, 0], [[true, 1, 1, 0, 1]]]]"))
 
 
+@pytest.mark.parametrize("position", range(4))
+def test_a_bool_coefficient_part_is_rejected_like_a_float(position):
+    # re-num, re-den, im-num, im-den of the coefficient 1 of U, one of them replaced
+    for part in (True, 1.0):
+        parts = [1, 1, 0, 1]
+        parts[position] = part
+        message = rf"coefficient parts must be integers: \[{', '.join(map(repr, parts))}\]"
+        with pytest.raises(TypeError, match=message):
+            AlgebraElement.from_records(TORUS, [[[1, 0], [[0, *parts]]]])
+    # the record of the bug report, read from JSON text
+    text = ["1", "1", "0", "1"]
+    text[position] = "true"
+    with pytest.raises(TypeError, match="coefficient parts must be integers"):
+        AlgebraElement.from_records(TORUS, json.loads(f"[[[1, 0], [[0, {', '.join(text)}]]]]"))
+
+
 def test_records_reject_a_repeated_index_and_s_exponent():
     # the two entries sum to 0; neither may silently replace the other
     with pytest.raises(ValueError, match=r"s-exponent 0 repeated at index \(1, 0\)"):

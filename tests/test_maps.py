@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qtorus.phases import ONE, ZERO, PhaseScalar, phase_pow
-from qtorus.algebra import CIRCLE, P2, P3, TORUS
+from qtorus.algebra import CIRCLE, P2, P3, TORUS, AlgebraElement
 from qtorus.maps import (
     GENERATOR_IMAGES,
     MAPS,
@@ -60,7 +60,7 @@ def _multi_power_element(algebra, rng):
         idx = tuple(rng.randint(-3, 3) for _ in range(algebra.d))
         powers = rng.sample(range(-4, 5), rng.randint(2, 3))
         support[idx] = PhaseScalar({e: rng.choice(COEFF_POOL) for e in powers})
-    return algebra.element(support)
+    return AlgebraElement(algebra, support)
 
 
 def _reference_apply(rule, x):
