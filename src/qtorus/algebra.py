@@ -545,14 +545,21 @@ class AlgebraElement:
 
         A coefficient or s-exponent too large for a float, or a sum that overflows, raises
         ``OverflowError`` naming the index; a value that overflows only in the product
-        c * s**e has an infinite part."""
+        c * s**e has an infinite part.  For |e| > 256, s**e is exp(i*pi*(n*e mod 2d)/d),
+        with n/d = theta exactly."""
         # s has period 2 in theta; the reduction is exact and keeps pi*theta finite
         base = cmath.exp(1j * math.pi * math.fmod(theta, 2.0))
         out: dict[MultiIndex, complex] = {}
         several: dict[MultiIndex, list[complex]] = {}  # the terms of each index that has several
         try:
             for (a, e), c in self._terms.items():
-                z = 0j + c.to_complex() * base**e  # 0j + turns a -0.0 part into 0.0
+                if -256 <= e <= 256 or math.isnan(theta):  # a NaN has no integer ratio
+                    s = base**e
+                else:  # exact: base**e loses about |e| ulps of the angle
+                    float(e)  # an s-exponent outside float range stays an OverflowError
+                    n, d = theta.as_integer_ratio()
+                    s = cmath.exp(1j * math.pi * (n * e % (2 * d) / d))
+                z = 0j + c.to_complex() * s  # 0j + turns a -0.0 part into 0.0
                 if a in out:
                     several.setdefault(a, [out[a]]).append(z)
                 out[a] = z
@@ -605,6 +612,8 @@ class AlgebraElement:
                     raise TypeError(f"s-exponent must be an integer, got {e!r}")
                 if not type(rn) is int is type(rd) is type(imn) is type(imd):  # not a bool either
                     raise TypeError(f"coefficient parts must be integers: {[rn, rd, imn, imd]!r}")
+                if rd <= 0 or imd <= 0:
+                    raise ValueError(f"denominator not positive at index {idx}, s-exponent {e}")
                 if (idx, e) in terms:
                     raise ValueError(f"s-exponent {e} repeated at index {idx}")
                 terms[(idx, e)] = GaussianRational(Fraction(rn, rd), Fraction(imn, imd))

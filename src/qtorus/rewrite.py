@@ -4,32 +4,29 @@ This is an independent oracle for the cocycle-based product: a word in the
 generators is brought into the canonical order U1 < V1 < U2 < V2 < U3 < V3 in
 one pass that keeps the running power of each generator.  A letter pays, for
 every earlier letter at a later position, the phase of moving past it, read
-from the swap matrix of the ambient algebra, which is built once, at import,
-from its relation rows (``RELATION_ROWS``) alone.  Those are exactly the
-adjacent swaps of a stable sort, so the sum is the sort's phase.  The pass
-runs a straight-line kernel made from that table (``order_kernel_source``).
-It folds a prefix once and continues each of a list of suffixes from the state
-the prefix left (:func:`normal_order_rows`); :func:`normal_order_exponent` is
-the case of one empty suffix.
-Nothing here reads a cocycle matrix, so agreement between
-:func:`normal_order` and ``AlgebraElement.__mul__`` is a genuine cross-check.
+from the swap matrix of the algebra's relation rows (``RELATION_ROWS``, read
+at call time).  Those are exactly the adjacent swaps of a stable sort, so the
+sum is the sort's phase.  The pass runs a straight-line kernel made from that
+matrix (``order_kernel_source``), rebuilt whenever the rows are another object.
+It folds a prefix once and continues each suffix from the state the prefix
+left (:func:`normal_order_rows`).  Nothing here reads a cocycle matrix, so
+agreement between :func:`normal_order` and ``AlgebraElement.__mul__`` is a
+genuine cross-check.
 
 Every relation is a pure q-commutation g_i g_j = s**e g_j g_i, so swap phases
 compose multiplicatively and the result does not depend on the sorting
 schedule (the suite verifies this confluence rather than assuming it).
 
-All functions here are pure and operate on immutable values; they are safe
-to call from multiple threads.
+All functions are safe to call from threads; a race at worst builds one kernel twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, Sequence
 
 from .phases import PhaseScalar, phase_pow
-from .algebra import ALGEBRAS, AlgebraDescriptor, MultiIndex, _compile_kernel
+from .algebra import AlgebraDescriptor, MultiIndex, _compile_kernel
 
 __all__ = [
     "GeneratorSymbol",
@@ -123,29 +120,15 @@ RELATION_ROWS: dict[str, tuple[tuple[int, int, int], ...]] = {
     "p3": _P3_ROWS,
 }
 
-
-def _swap_matrix(rows: tuple[tuple[int, int, int], ...], d: int) -> tuple[tuple[int, ...], ...]:
-    # the antisymmetric matrix m with g_a g_b = s**m[a][b] g_b g_a: a row
-    # (i, j, e) gives m[i][j] = e and m[j][i] = -e
-    m = [[0] * d for _ in range(d)]
-    for i, j, e in rows:
-        m[i][j], m[j][i] = e, -e
-    return tuple(map(tuple, m))
+_BUILT: dict[str, tuple] = {}  # name: (rows, swap matrix, order kernel), as last built
 
 
-# Only the number of generators is read from each algebra, never its cocycle.
-_SWAP: dict[str, tuple[tuple[int, ...], ...]] = {
-    name: _swap_matrix(rows, ALGEBRAS[name].d) for name, rows in RELATION_ROWS.items()
-}
-
-def order_kernel_source(name: str) -> str:
-    """Python source of one algebra's ``kernel(prefix, suffixes)``: for each
-    suffix, ``(s-exponent, index)`` of the word ``prefix + suffix``.  The prefix
-    is folded once and each suffix continues from the state it left.  A letter
-    takes the branch of its position b, adding the phase m[a][b] of each move
-    past a later position a (m the swap matrix); KeyError for a position not an
-    int in range."""
-    m = _SWAP[name]
+def order_kernel_source(m: Sequence[Sequence[int]]) -> str:
+    """Python source of the ``kernel(prefix, suffixes)`` of the swap matrix ``m``,
+    g_a g_b = s**m[a][b] g_b g_a: for each suffix, ``(s-exponent, index)`` of
+    ``prefix + suffix``, the prefix folded once.  A letter takes the branch of its
+    position b, adding m[a][b] per move past a later position a; KeyError for a
+    position not an int in range."""
     powers = [f"p{b}" for b in range(len(m))]
     state = ", ".join(["e", *powers])
     letter = ["if type(b) is not int and not isinstance(b, int):", "    raise KeyError(b)"]
@@ -167,23 +150,39 @@ def order_kernel_source(name: str) -> str:
             "    return out\n")
 
 
-@cache
-def _order_kernel(name: str):
-    return _compile_kernel(order_kernel_source(name))
+def _oracle(algebra: AlgebraDescriptor) -> tuple:
+    """(rows, swap matrix, order kernel) of ``RELATION_ROWS[algebra.name]``, built anew
+    for an entry that is another object; ValueError for a name without rows."""
+    name = algebra.name
+    try:
+        built = _BUILT[name]
+        if built[0] is RELATION_ROWS[name]:
+            return built
+    except KeyError:
+        if name not in RELATION_ROWS:
+            raise ValueError(f"no relation rows for {name!r}") from None
+    rows = RELATION_ROWS[name]
+    # a row (i, j, e) gives m[i][j] = e and m[j][i] = -e
+    m = [[0] * algebra.d for _ in range(algebra.d)]
+    for i, j, e in rows:
+        m[i][j], m[j][i] = e, -e
+    _BUILT[name] = (rows, m, _compile_kernel(order_kernel_source(m)))
+    return _BUILT[name]
 
 
 def _check_positions(algebra: AlgebraDescriptor, positions: Iterable[int]) -> None:
     """Raise ValueError for the first position that is not an int in ``range(d)``."""
+    valid = range(algebra.d)
     for p in positions:
         # the int test first: 1.0 in range(2) holds
-        if not isinstance(p, int) or p not in range(algebra.d):
+        if not isinstance(p, int) or p not in valid:
             raise ValueError(f"generator position {p} out of range for {algebra.name!r}") from None
 
 
 def swap_exponent(algebra: AlgebraDescriptor, a: int, b: int) -> int:
     """s-exponent e with g_a g_b = s**e g_b g_a (antisymmetric in a, b)."""
     _check_positions(algebra, (a, b))
-    return _SWAP[algebra.name][a][b]
+    return _oracle(algebra)[1][a][b]
 
 
 def word_of_index(algebra: AlgebraDescriptor, idx: MultiIndex) -> Word:
@@ -203,20 +202,18 @@ def normal_order_rows(
     """(s-exponent, index) of the word ``prefix + suffix``, for each suffix in order.
 
     The algebra's order kernel makes one pass with running power sums: a
-    letter (b, r) adds ``r * sum(rows[a][b] * powers[a] for a > b)``, where
-    ``powers[a]`` is the total power of the earlier letters at a, and then
-    ``powers[b] += r``.  That is the phase of a stable sort: the letter moves
-    left past each earlier letter (a, p) with a > b exactly once, the adjacent
-    swap g_a^p g_b^r -> g_b^r g_a^p contributing ``rows[a][b] * p * r``, and
-    equal positions never swap.  ``rows`` is the swap matrix of the relation
-    rows.  The pass over the prefix is made once, and each suffix continues
-    from the powers and phase it left.  Inverses are negative powers; like
-    generators merge by adding their powers.  A position outside the algebra
-    raises ``ValueError``.
+    letter (b, r) adds ``r * sum(m[a][b] * powers[a] for a > b)``, with ``m``
+    the swap matrix and ``powers[a]`` the total power of the earlier letters
+    at a, and then ``powers[b] += r``.  That is the phase of a stable sort: the
+    letter moves left past each earlier letter (a, p) with a > b exactly once,
+    the adjacent swap g_a^p g_b^r -> g_b^r g_a^p contributing ``m[a][b] * p * r``,
+    and equal positions never swap.  The pass over the prefix is made once, and
+    each suffix continues from the powers and phase it left.  Inverses are
+    negative powers; like generators merge by adding their powers.  A position
+    outside the algebra, or an algebra without relation rows, raises ``ValueError``.
     """
-    kernel = _order_kernel(algebra.name)
     try:
-        return kernel(prefix, suffixes)
+        return _oracle(algebra)[2](prefix, suffixes)
     except (KeyError, TypeError):
         # with every position good (a None power, say) the original error stands
         _check_positions(algebra, (p for seq in (prefix, *suffixes) for p, _ in seq))

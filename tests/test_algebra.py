@@ -356,6 +356,24 @@ def test_a_bool_coefficient_part_is_rejected_like_a_float(position):
         AlgebraElement.from_records(TORUS, json.loads(f"[[[1, 0], [[0, {', '.join(text)}]]]]"))
 
 
+def test_eval_at_a_nan_theta_is_nan_for_a_small_or_large_s_exponent():
+    for e in (1, 1000):
+        (z,) = (phase_pow(e) * TORUS.basis((1, 0))).eval_numeric(float("nan")).values()
+        assert z != z
+
+
+@pytest.mark.parametrize("parts", [[1, -2, 0, 1], [1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, -3]])
+def test_records_reject_a_denominator_that_is_not_positive(parts):
+    with pytest.raises(ValueError, match=r"denominator not positive at index \(1, 0\), s-exponent 3"):
+        AlgebraElement.from_records(TORUS, [[[1, 0], [[3, *parts]]]])
+
+
+def test_records_accept_coefficient_parts_not_in_lowest_terms():
+    assert AlgebraElement.from_records(TORUS, [[[1, 0], [[0, 2, 4, 3, 6]]]]) == (
+        GaussianRational(Fraction(1, 2), Fraction(1, 2)) * TORUS.basis((1, 0))
+    )
+
+
 def test_records_reject_a_repeated_index_and_s_exponent():
     # the two entries sum to 0; neither may silently replace the other
     with pytest.raises(ValueError, match=r"s-exponent 0 repeated at index \(1, 0\)"):

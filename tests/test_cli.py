@@ -315,6 +315,17 @@ def test_eval_reduces_theta_mod_2(capsys, theta):
     assert captured.out == "U: 1+0i\n" and not captured.err
 
 
+@pytest.mark.parametrize("n, value", [
+    ("65537", "0.707106781187+0.707106781187i"),
+    ("1000000000001", "0.707106781187+0.707106781187i"),
+    ("1" + "0" * 25, "1+0i"),  # 8 divides 10^25
+])
+def test_eval_of_a_large_s_exponent_is_exact(n, value):
+    # at theta = 1/8, q^n = exp(i*pi*n/4); base**e alone drifts by about |e| ulps of the angle
+    code, out, err = _run_main(["eval", "--theta", "0.125", "--algebra", "torus", f"q^({n}) U"])
+    assert (code, out, err) == (0, f"U: {value}\n", "")
+
+
 @pytest.mark.parametrize("theta", ["-1e-3", "-2.5E+1", "-0.001"])
 def test_eval_takes_a_negative_theta_in_exponent_notation(theta):
     # argparse's own negative-number pattern has no exponent, so "-1e-3" looked like an option

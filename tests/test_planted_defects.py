@@ -144,8 +144,10 @@ DEFECTS = {
     ),
     "relation-row-exponent": (
         _relation_rows,
-        RELATION_CHECKS,
-        "48772514c6c4da174e57688ab3dea38dd327372cd508c5b9ea1eae25b96ec5de",
+        # the rewriting oracle reads the planted rows too; confluence does not see
+        # them, because both of its sides read the same rows
+        (*RELATION_CHECKS, "derived-rules-oracle", "p2-formula-vs-relations-discrepancy"),
+        "2ae25a2eaa94a9c2fd55cea55d15bb9dc8c432e72b36f7f84068198e8bcc2e26",
     ),
     "product-index": (
         _product_index,

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtorus import rewrite
 from qtorus.phases import phase_pow
-from qtorus.algebra import ALGEBRAS, P2, P3, TORUS
+from qtorus.algebra import ALGEBRAS, P2, P3, POINT, TORUS, _compile_kernel
 from qtorus.rewrite import (
     RELATION_ROWS,
     GeneratorSymbol,
@@ -17,9 +18,11 @@ from qtorus.rewrite import (
     normal_order,
     normal_order_exponent,
     normal_order_rows,
+    order_kernel_source,
     swap_exponent,
     word_of_index,
 )
+from qtorus.suite import P2_FORMULA_VARIANT
 
 
 def test_generator_symbol_rejects_zero_power():
@@ -324,3 +327,48 @@ def test_normal_order_rows_name_a_bad_position_in_any_suffix():
         normal_order_rows(TORUS, [(0, 1)], [[(1, 1)], [(0, 1), (2, 1)]])
     with pytest.raises(TypeError):
         normal_order_rows(TORUS, [(0, 1)], [[(1, 1)], [(0, None)]])
+
+
+# --- the oracle reads RELATION_ROWS when it is called ---
+
+@pytest.mark.parametrize("algebra", [P2_FORMULA_VARIANT, POINT], ids=["p2-formula", "point"])
+def test_an_algebra_without_relation_rows_is_a_value_error(algebra):
+    word = [(p, 1) for p in reversed(range(algebra.d))]
+    name = f"'{algebra.name}'"
+    with pytest.raises(ValueError, match=name):
+        normal_order_exponent(algebra, word)
+    with pytest.raises(ValueError, match=name):
+        normal_order_rows(algebra, word, [[], word])
+    with pytest.raises(ValueError, match=name):
+        swap_exponent(algebra, 0, 1)
+    with pytest.raises(ValueError, match=name):
+        normal_order(word_of_index(algebra, (1,) * algebra.d))
+
+
+def test_a_patched_relation_row_reaches_the_oracle(monkeypatch):
+    # V1 U1 = q^(-1) U1 V1 in p2; the patched first row claims one more power of q
+    (i, j, e), *rest = RELATION_ROWS["p2"]
+    assert (i, j, e) == (0, 1, 2)
+    live = normal_order_exponent(P2, [(1, 1), (0, 1)]), swap_exponent(P2, 0, 1)
+    assert live == ((-2, (1, 1, 0, 0)), 2)
+    monkeypatch.setitem(RELATION_ROWS, "p2", ((i, j, e + 2), *rest))
+    assert normal_order_exponent(P2, [(1, 1), (0, 1)]) == (-4, (1, 1, 0, 0))
+    assert swap_exponent(P2, 0, 1) == 4
+    monkeypatch.undo()
+    assert (normal_order_exponent(P2, [(1, 1), (0, 1)]), swap_exponent(P2, 0, 1)) == live
+
+
+def test_order_kernel_source_of_a_mutated_swap_matrix():
+    rows, live_kernel = RELATION_ROWS["p2"], rewrite._oracle(P2)[2]
+    m = [[swap_exponent(P2, a, b) for b in range(P2.d)] for a in range(P2.d)]
+    words = [[(1, 1), (0, 1)], [(2, 1), (1, 1)]]  # V1 U1 and U2 V1
+    live = normal_order_rows(P2, [], words)
+    assert live == [(-2, (1, 1, 0, 0)), (-1, (0, 1, 1, 0))]
+    assert _compile_kernel(order_kernel_source(m))([], words) == live
+    # V1 U2 = q^(1/2) U2 V1 becomes V1 U2 = U2 V1: only U2 V1 changes
+    m[1][2] -= 1
+    m[2][1] += 1
+    mutant = _compile_kernel(order_kernel_source(m))
+    assert mutant([], words) == [(-2, (1, 1, 0, 0)), (0, (0, 1, 1, 0))]
+    assert normal_order_rows(P2, [], words) == live
+    assert RELATION_ROWS["p2"] is rows and rewrite._oracle(P2)[2] is live_kernel
