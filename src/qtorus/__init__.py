@@ -6,18 +6,33 @@ multiplication structure maps between them, a normal-ordering oracle driven
 purely by the generator relations, and a seeded verification suite checking
 every identity exactly.
 
-The package re-exports the ``__all__`` of each of its modules.
+The package re-exports each module's ``__all__``.  ``rewrite``, ``maps``, ``suite``
+and ``cli`` load on first access (PEP 562), so a command loads only what it runs.
 """
 
-from . import algebra, cli, maps, phases, rewrite, suite
+import importlib
+
+from . import algebra, phases
 from .algebra import *
 from .phases import *
-from .rewrite import *
-from .maps import *
-from .suite import *
-from .cli import *
 
 __version__ = "0.1.0"
+_LAZY = ("rewrite", "maps", "suite", "cli")
 
-__all__ = sorted({name for module in (algebra, phases, rewrite, maps, suite, cli)
-                  for name in module.__all__})
+
+def __getattr__(name: str):
+    # import_module: ``from . import x`` would call hasattr on the package and recurse
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    modules = [algebra, phases]
+    for lazy in _LAZY:  # in import order, up to the first module that declares the name
+        modules.append(importlib.import_module(f"{__name__}.{lazy}"))
+        if name in modules[-1].__all__:
+            return globals().setdefault(name, getattr(modules[-1], name))
+    if name != "__all__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, sorted({n for m in modules for n in m.__all__}))
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *__getattr__("__all__")})

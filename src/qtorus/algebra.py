@@ -28,14 +28,15 @@ torus.  Elements are finitely supported; identities extend to infinite sums
 by (bi)linearity.
 
 Coefficients are ``GaussianRational`` integer triples.  Values are immutable
-and operations pure; everything is safe to share between threads.
+and operations pure; everything is safe to share between threads.  A descriptor
+is a plain frozen class, equal, hashed and pickled by its name, generators and
+cocycle, so this module, like ``phases``, imports no ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
@@ -283,18 +284,32 @@ def _term_text(e: int, c: GaussianRational) -> str:
     return f"{c}*{power}"
 
 
-@dataclass(frozen=True)
 class AlgebraDescriptor:
-    """Name, generators and structure constants of one twisted algebra."""
+    """Name, generators and structure constants of one twisted algebra; frozen."""
 
-    name: str
-    generator_names: tuple[str, ...]
-    cocycle: tuple[tuple[int, ...], ...]
+    def __init__(self, name: str, generator_names: tuple[str, ...], cocycle: tuple):
+        d = len(generator_names)
+        if len(cocycle) != d or any(len(row) != d for row in cocycle):
+            raise ValueError(f"cocycle matrix of algebra {name!r} must be {d}x{d}")
+        # equal, hashed and pickled by these values, not by the functions it caches
+        self.__dict__.update(name=name, generator_names=generator_names, cocycle=cocycle,
+                             _values=(name, generator_names, cocycle))
 
-    def __post_init__(self):
-        d = len(self.generator_names)
-        if len(self.cocycle) != d or any(len(row) != d for row in self.cocycle):
-            raise ValueError(f"cocycle matrix of algebra {self.name!r} must be {d}x{d}")
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        return self._values == other._values if type(other) is AlgebraDescriptor else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name: str, *value) -> None:  # also ``__delattr__``, with no value
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # POINT, TORUS, ... pickle by module name and unpickle as themselves
+        named = self is POINT or ALGEBRAS.get(self.name) is self
+        return self.name.upper() if named else (AlgebraDescriptor, self._values)
 
     @property
     def d(self) -> int:

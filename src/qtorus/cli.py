@@ -25,13 +25,6 @@ import sys
 
 from .phases import ParseError, PhaseScalar, parse_tokens, tokenize
 from .algebra import ALGEBRAS, AlgebraDescriptor, AlgebraElement
-from .maps import MAPS
-from .suite import (
-    TrialConfig,
-    render_reports_text,
-    reports_to_records,
-    run_suite,
-)
 
 __all__ = ["parse_expression", "main", "entry_point"]
 
@@ -72,6 +65,7 @@ def _cmd_mul(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    from .maps import MAPS  # only this command and check load the maps
     try:
         fmap = MAPS[args.map]
     except KeyError:
@@ -88,6 +82,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .suite import TrialConfig, render_reports_text, reports_to_records, run_suite
     cfg = TrialConfig(seed=args.seed, trials=args.trials)
     selection = None
     if args.suite:

@@ -31,7 +31,7 @@ Maps are immutable and application is pure; everything is thread-safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .algebra import CIRCLE, P2, P3, POINT, TORUS, AlgebraDescriptor, AlgebraElement
@@ -115,6 +115,9 @@ class LinearMap:
     def image(self):
         """delta^a |-> s**P(a) * delta^(A a) as the pair (A a, P(a)), run by the kernel."""
         return _compile_kernel(self.kernel_source)
+
+    def __reduce__(self):  # the fields, without the kernel cached in the instance __dict__
+        return LinearMap, tuple(getattr(self, f.name) for f in fields(self))
 
     def __repr__(self) -> str:
         return f"LinearMap({self.name!r}: {self.source.name} -> {self.target.name})"

@@ -490,3 +490,34 @@ def test_one_term_by_many_product_matches_the_reference(algebra):
         prod = x * y
         assert len(prod.flat) == len(y.flat)
         assert raw_of(prod) == product_by_definition(x, y)
+
+
+# --- the descriptor's surface ---
+
+def test_a_rebuilt_descriptor_equals_the_original_and_hashes_alike():
+    rebuilt = AlgebraDescriptor(TORUS.name, TORUS.generator_names, TORUS.cocycle)
+    assert rebuilt is not TORUS
+    assert rebuilt == TORUS and hash(rebuilt) == hash(TORUS)
+    assert {rebuilt: 1}[TORUS] == 1
+    keywords = AlgebraDescriptor(name="p2", generator_names=P2.generator_names, cocycle=P2.cocycle)
+    assert keywords == P2 and hash(keywords) == hash(P2)
+    assert P2_FORMULA_VARIANT != P2 and P2 != P2_FORMULA_VARIANT
+    assert TORUS != CIRCLE and TORUS != "torus"
+    assert repr(rebuilt) == "AlgebraDescriptor('torus', d=2)"
+
+
+def test_a_descriptor_with_a_bad_cocycle_is_a_value_error():
+    with pytest.raises(ValueError, match=r"^cocycle matrix of algebra 'x' must be 2x2$"):
+        AlgebraDescriptor("x", ("U", "V"), ((0, 0),))
+    with pytest.raises(ValueError, match=r"^cocycle matrix of algebra 'x' must be 1x1$"):
+        AlgebraDescriptor("x", ("z",), ((0, 0),))
+
+
+def test_a_descriptor_is_frozen():
+    with pytest.raises(AttributeError):
+        TORUS.name = "x"
+    with pytest.raises(AttributeError):
+        TORUS.cocycle = P2.cocycle
+    with pytest.raises(AttributeError):
+        del TORUS.generator_names
+    assert TORUS.name == "torus" and TORUS.d == 2
