@@ -385,7 +385,10 @@ class AlgebraDescriptor:
         pos = self.generator_position(name)
         idx = [0] * self.d
         idx[pos] = power
-        return self.basis(tuple(idx))
+        idx = tuple(idx)
+        if type(power) is not int:  # the one entry a caller sets; not a bool either
+            raise TypeError(f"index entries must be integers: {idx!r}")
+        return AlgebraElement._raw(self, {(idx, 0): _GR_ONE})
 
     def generator_position(self, name: str) -> int:
         try:
@@ -631,7 +634,8 @@ class AlgebraElement:
                     raise ValueError(f"denominator not positive at index {idx}, s-exponent {e}")
                 if (idx, e) in terms:
                     raise ValueError(f"s-exponent {e} repeated at index {idx}")
-                terms[(idx, e)] = GaussianRational(Fraction(rn, rd), Fraction(imn, imd))
+                # the one reduced triple of (rn/rd) + (imn/imd) i, in lowest terms or not
+                terms[(idx, e)] = _reduced(rn * imd, imn * rd, rd * imd)
         return AlgebraElement._raw(algebra, {k: c for k, c in terms.items() if c})
 
 

@@ -12,10 +12,12 @@ A scalar is a ``PhaseScalar``, an element of the rank-0 algebra
 ``qtorus.algebra``; this module re-exports ``GaussianRational`` and
 ``PhaseScalar`` and adds ``ONE``, ``ZERO`` and ``phase_pow``.
 
-This module also holds the library's one expression grammar: the tokenizer
-and the recursive-descent parser behind both :func:`parse_phase` (scalars
-alone) and ``qtorus.cli.parse_expression`` (elements of a named algebra,
-whose generators the parser takes from the algebra it is given).
+This module also holds the library's one expression grammar: the tokenizer,
+one ``finditer`` scan of one cached pattern per generator set, and the
+recursive-descent parser behind both :func:`parse_phase` (scalars alone) and
+``qtorus.cli.parse_expression`` (elements of a named algebra, whose
+generators the parser takes from the algebra it is given).  The parser sums
+the terms of a sum in one merge.
 
 All values are immutable and all operations are pure functions, so they may
 be shared freely between threads.
@@ -27,7 +29,8 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import _GR_ONE, POINT, AlgebraElement, GaussianRational, PhaseScalar
+from .algebra import (_GR_ONE, POINT, AlgebraElement, GaussianRational, PhaseScalar,
+                      _merge_into, _reduced)
 
 __all__ = [
     "GaussianRational",
@@ -62,42 +65,50 @@ class ParseError(ValueError):
 
 @lru_cache(maxsize=None)
 def _token_pattern(names: tuple[str, ...]) -> "re.Pattern[str]":
-    # longest generator names first so e.g. "U1" wins over "U"
+    # longest generator names first so e.g. "U1" wins over "U"; "bad" is any other
+    # character but whitespace, which the scan skips as matching nothing
     alts = sorted(set(names) | {"q", "i"}, key=len, reverse=True)
     alt = "|".join(re.escape(n) for n in alts)
     return re.compile(
-        rf"(?P<num>\d+(?:/\d+)?)|(?P<name>{alt})|(?P<word>[A-Za-z]\w*)|(?P<op>[\^()*+\-])"
+        rf"(?P<op>[\^()*+\-])|(?P<num>\d+(?:/\d+)?)|(?P<name>{alt})|(?P<word>[A-Za-z]\w*)"
+        rf"|(?P<bad>\S)"
     )
 
 
 Token = tuple[str, object, int]
 
 
+@lru_cache(maxsize=1024)
+def _number(text: str) -> Fraction | None:
+    """The value of a number token, or None if its denominator is zero.
+    Renderings repeat a few numbers, so a cache saves building most Fractions."""
+    num, _, den = text.partition("/")
+    if den and not int(den):
+        return None
+    return Fraction(int(num), int(den or 1))
+
+
 def tokenize(text: str, names: tuple[str, ...] = ()) -> list[Token]:
     """Split expression text into (kind, value, position) tokens.
 
-    ``names`` are the generator symbols of the ambient algebra; adjacent
-    generators need no separator ("U1U2" is two tokens).  Unknown identifiers
-    tokenize as kind "word" so the caller can report them.
+    One ``finditer`` scan of one pattern per generator set: every character
+    but whitespace (``\\s``, which is what ``str.isspace`` accepts) starts a
+    token or is a "bad" match, so the scan skips exactly the whitespace.
+    Numbers are ``Fraction`` values, in any Unicode decimal digits.  ``names``
+    are the generator symbols of the ambient algebra; adjacent generators need
+    no separator ("U1U2" is two tokens).  Unknown identifiers tokenize as kind
+    "word" so the caller can report them.
     """
-    pattern = _token_pattern(tuple(names))
     tokens: list[Token] = []
-    pos, n = 0, len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = pattern.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "num":
-            num, _, den = m.group().partition("/")
-            if den and not int(den):
+    for m in _token_pattern(tuple(names)).finditer(text):
+        kind, value, pos = m.lastgroup, m[0], m.start()
+        if kind == "num":
+            value = _number(value)
+            if value is None:
                 raise ParseError("zero denominator", pos)
-            tokens.append(("num", Fraction(int(num), int(den or 1)), pos))
-        else:
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
+        tokens.append((kind, value, pos))
     return tokens
 
 
@@ -118,28 +129,25 @@ class _Parser:
     and stay scalars until they meet a generator.  ``algebra`` (an
     AlgebraDescriptor, or None for scalars alone) supplies the generators
     and the unit into which a scalar is lifted when it is added to an element.
-    ``end``, the length of the text, is the position of an error at the end
-    of the input.
+    ``end``, the length of the text, is the position of the "end" token that
+    closes the token list, where an error at the end of the input is reported.
     """
 
     def __init__(self, tokens: list[Token], end: int, algebra=None):
-        self.tokens = tokens
-        self.end = end
+        self.tokens = [*tokens, ("end", None, end)]
         self.algebra = algebra
         self.i = 0
         self.depth = 0
 
     def _at(self, ops: str) -> bool:
         """Whether the next token is one of the operators in ``ops``."""
-        tokens, i = self.tokens, self.i
-        return i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in ops
+        kind, value, _ = self.tokens[self.i]
+        return kind == "op" and value in ops
 
     def _close(self) -> None:
         """Consume the ')' that must come next."""
         if not self._at(")"):
-            i = self.i
-            pos = self.tokens[i][2] if i < len(self.tokens) else self.end
-            raise ParseError("expected ')'", pos)
+            raise ParseError("expected ')'", self.tokens[self.i][2])
         self.i += 1
 
     def _sign(self) -> int:
@@ -148,17 +156,23 @@ class _Parser:
             return -1 if self.tokens[self.i - 1][1] == "-" else 1
         return 1
 
-    def _add(self, a, b):
-        if isinstance(a, PhaseScalar) != isinstance(b, PhaseScalar):
-            unit = self.algebra.unit()
-            a, b = (unit.scale(a), b) if isinstance(a, PhaseScalar) else (a, unit.scale(b))
-        return a + b
-
     def expr(self):
-        total = self._signed_term()
+        """A sum: its terms are merged into one dict, each term once.  If any term
+        is an element, the scalar terms are lifted into the algebra's unit first."""
+        terms = [self._signed_term()]
         while self._at("+-"):
-            total = self._add(total, self._signed_term())
-        return total
+            terms.append(self._signed_term())
+        if len(terms) == 1:
+            return terms[0]
+        if all(isinstance(t, PhaseScalar) for t in terms):
+            algebra = POINT
+        else:
+            algebra, unit = self.algebra, self.algebra.unit()
+            terms = [unit.scale(t) if isinstance(t, PhaseScalar) else t for t in terms]
+        out = dict(terms[0]._terms)
+        for t in terms[1:]:
+            _merge_into(out, t._terms.items())
+        return AlgebraElement._raw(algebra, out)
 
     def _signed_term(self):
         sign = self._sign()
@@ -167,22 +181,21 @@ class _Parser:
 
     def term(self):
         value = self.factor()
-        while self.i < len(self.tokens):
+        while True:
             kind, op, _ = self.tokens[self.i]
             if kind == "op" and op == "*":
                 self.i += 1
-            elif kind == "op" and op != "(":
+            elif kind == "end" or (kind == "op" and op != "("):
                 break  # no factor starts here
             value = value * self.factor()
         return value
 
     def factor(self):
-        if self.i >= len(self.tokens):
-            raise ParseError("expected an expression", self.end)
         kind, value, pos = self.tokens[self.i]
         self.i += 1
-        if kind == "num":
-            return PhaseScalar(value)
+        if kind == "num":  # the triple of GaussianRational.from_value, none for 0
+            c = _reduced(value.numerator, 0, value.denominator)
+            return AlgebraElement._raw(POINT, {((), 0): c} if value else {})
         if kind == "name":
             if value == "i":
                 return _I
@@ -205,6 +218,8 @@ class _Parser:
             self.depth -= 1
             self._close()
             return inner
+        if kind == "end":
+            raise ParseError("expected an expression", pos)
         raise ParseError(f"unexpected {value!r}", pos)
 
     def _exponent(self, units: int) -> int:
@@ -217,19 +232,18 @@ class _Parser:
         if parens:
             self.i += 1
         sign = self._sign()
-        if self.i >= len(self.tokens):
-            raise ParseError("expected an exponent", self.end)
-        if self.tokens[self.i][0] != "num":
-            raise ParseError("expected an exponent", self.tokens[self.i][2])
-        scaled = sign * units * self.tokens[self.i][1]
-        if scaled.denominator != 1:
+        kind, value, pos = self.tokens[self.i]
+        if kind != "num":
+            raise ParseError("expected an exponent", pos)
+        power, rest = divmod(sign * units * value.numerator, value.denominator)
+        if rest:
             what = "q exponent must be a multiple of 1/2" if units == 2 else (
                 "generator exponent must be an integer")
-            raise ParseError(what, self.tokens[self.i][2])
+            raise ParseError(what, pos)
         self.i += 1
         if parens:
             self._close()
-        return int(scaled)
+        return power
 
 
 def parse_tokens(tokens: list[Token], end: int, algebra=None):

@@ -374,6 +374,29 @@ def test_records_accept_coefficient_parts_not_in_lowest_terms():
     )
 
 
+@given(st.integers(-30, 30), st.integers(1, 30), st.integers(-30, 30), st.integers(1, 30),
+       st.integers(1, 6), st.integers(1, 6))
+@settings(max_examples=300)
+def test_records_build_the_coefficient_of_any_integer_parts(rn, rd, imn, imd, j, k):
+    # j and k take each part out of lowest terms, with the denominators kept positive
+    rn, rd, imn, imd = rn * j, rd * j, imn * k, imd * k
+    expected = GaussianRational(Fraction(rn, rd), Fraction(imn, imd))
+    got = AlgebraElement.from_records(TORUS, [[[1, 0], [[0, rn, rd, imn, imd]]]]).flat
+    if not expected:
+        assert got == {}
+        return
+    c, = got.values()
+    assert c == expected and c.record_parts() == expected.record_parts()
+
+
+def test_a_generator_power_that_is_no_int_is_a_type_error():
+    with pytest.raises(TypeError, match=r"^index entries must be integers: \(1\.5, 0\)$"):
+        TORUS.generator("U", 1.5)
+    with pytest.raises(TypeError, match=r"^index entries must be integers: \(True, 0\)$"):
+        TORUS.generator("U", True)
+    assert TORUS.generator("V", -2) == TORUS.basis((0, -2))
+
+
 def test_records_reject_a_repeated_index_and_s_exponent():
     # the two entries sum to 0; neither may silently replace the other
     with pytest.raises(ValueError, match=r"s-exponent 0 repeated at index \(1, 0\)"):

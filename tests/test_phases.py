@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtorus.algebra import P2, TORUS, AlgebraElement, _merge_into
+from qtorus.cli import parse_expression
 from qtorus.phases import (
     MAX_NESTING,
     ONE,
@@ -17,6 +19,7 @@ from qtorus.phases import (
     PhaseScalar,
     parse_phase,
     phase_pow,
+    tokenize,
 )
 from test_product_reference import small_fractions
 
@@ -298,3 +301,83 @@ def test_parse_bounds_the_nesting_depth():
     with pytest.raises(ParseError) as err:
         parse_phase("(" * 3000 + "1" + ")" * 3000)
     assert err.value.pos == MAX_NESTING and "nested too deeply" in str(err.value)
+
+
+# --- the tokenizer, and the cost of a sum ---
+
+def test_tokenize_gives_every_token_kind_with_its_position():
+    text = "2/3*q^(1/2) U1U2 - i Wz+(V2^-7)"
+    assert tokenize(text, P2.generator_names) == [
+        ("num", Fraction(2, 3), 0), ("op", "*", 3), ("name", "q", 4), ("op", "^", 5),
+        ("op", "(", 6), ("num", Fraction(1, 2), 7), ("op", ")", 10), ("name", "U1", 12),
+        ("name", "U2", 14), ("op", "-", 17), ("name", "i", 19), ("word", "Wz", 21),
+        ("op", "+", 23), ("op", "(", 24), ("name", "V2", 25), ("op", "^", 27),
+        ("op", "-", 28), ("num", Fraction(7), 29), ("op", ")", 30),
+    ]
+
+
+def test_tabs_newlines_and_ideographic_spaces_separate_tokens():
+    text = "U\t*\nV\u3000+ \t1"
+    assert tokenize(text, TORUS.generator_names) == [
+        ("name", "U", 0), ("op", "*", 2), ("name", "V", 4), ("op", "+", 6),
+        ("num", Fraction(1), 9),
+    ]
+    assert parse_expression(P2, "V1\tU1\n+\u3000U2 V2") == parse_expression(P2, "V1 U1 + U2 V2")
+
+
+def test_non_ascii_decimal_digits_are_numbers():
+    assert tokenize("\u0663 U", ("U",)) == [("num", Fraction(3), 0), ("name", "U", 2)]
+    assert parse_expression(TORUS, "\u0663 U") == parse_expression(TORUS, "3 * U")
+    assert parse_expression(TORUS, "U^\u0663") == TORUS.basis((3, 0))
+
+
+def test_errors_after_unicode_whitespace_name_the_character_position():
+    with pytest.raises(ParseError) as err:
+        parse_phase("\u3000\u2003!")
+    assert str(err.value) == "unexpected character '!' (at position 2)"
+    with pytest.raises(ParseError) as err:
+        parse_phase("1 +\u3000\t1/0")
+    assert str(err.value) == "zero denominator (at position 5)"
+
+
+def test_a_letter_outside_ascii_is_a_bad_character_and_an_unknown_name_a_word():
+    with pytest.raises(ParseError) as err:
+        parse_expression(TORUS, "U\u00e9")
+    assert str(err.value) == "unexpected character '\u00e9' (at position 1)"
+    with pytest.raises(ParseError) as err:
+        parse_expression(TORUS, "W")
+    assert str(err.value) == "unknown generator 'W' for algebra 'torus' (at position 0)"
+
+
+def test_a_sum_of_n_terms_copies_and_merges_at_most_2n_terms(monkeypatch):
+    n = 2000
+    handled = [0]
+    add = AlgebraElement.__add__
+
+    def counting_add(self, other):
+        if isinstance(other, AlgebraElement):
+            handled[0] += len(self.flat) + len(other.flat)
+        return add(self, other)
+
+    def counting_merge(out, pairs):
+        pairs = list(pairs)
+        handled[0] += len(pairs)
+        return _merge_into(out, pairs)
+
+    monkeypatch.setattr(AlgebraElement, "__add__", counting_add)
+    monkeypatch.setattr("qtorus.algebra._merge_into", counting_merge)
+    # a parser that sums through __add__ alone need not import the merge
+    monkeypatch.setattr("qtorus.phases._merge_into", counting_merge, raising=False)
+    got = parse_expression(TORUS, " + ".join(f"U^{k} V" for k in range(n)))
+    assert got == AlgebraElement(TORUS, {(k, 1): 1 for k in range(n)})
+    assert n - 1 <= handled[0] <= 2 * n  # each of the n - 1 "+" adds one term
+
+
+def test_a_sum_keeps_its_kind_and_cancels_to_zero():
+    assert parse_phase("q - 1/2 + 1/2 - q") == ZERO
+    assert type(parse_phase("q - 1/2 + 1/2 - q")) is PhaseScalar
+    assert parse_phase("1 + q + 1") == PhaseScalar({0: 2, 2: 1})
+    u = TORUS.basis((1, 0))
+    assert parse_expression(TORUS, "U - 1 + 1 - U") == TORUS.zero()
+    assert parse_expression(TORUS, "1 - 1 + U") == u
+    assert parse_expression(TORUS, "2 + q + U - 1") == u + TORUS.unit().scale(parse_phase("1 + q"))
