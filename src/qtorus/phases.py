@@ -49,7 +49,9 @@ ONE = AlgebraElement._raw(POINT, {((), 0): _GR_ONE})
 
 
 def phase_pow(e: int) -> PhaseScalar:
-    """The monomial s**e, i.e. q**(e/2)."""
+    """The monomial s**e, i.e. q**(e/2); TypeError for an ``e`` whose type is not int."""
+    if type(e) is not int:
+        raise TypeError(f"s-exponent must be an integer, got {e!r}")
     return AlgebraElement._raw(POINT, {((), e): _GR_ONE}) if e else ONE
 
 
@@ -103,7 +105,10 @@ def tokenize(text: str, names: tuple[str, ...] = ()) -> list[Token]:
     for m in _token_pattern(tuple(names)).finditer(text):
         kind, value, pos = m.lastgroup, m[0], m.start()
         if kind == "num":
-            value = _number(value)
+            try:
+                value = _number(value)
+            except ValueError:  # more digits than int() converts
+                raise ParseError("number too long", pos) from None
             if value is None:
                 raise ParseError("zero denominator", pos)
         elif kind == "bad":

@@ -152,22 +152,20 @@ def order_kernel_source(m: Sequence[Sequence[int]]) -> str:
 
 def _oracle(algebra: AlgebraDescriptor) -> tuple:
     """(rows, swap matrix, order kernel) of ``RELATION_ROWS[algebra.name]``, built anew
-    for an entry that is another object; ValueError for a name without rows."""
+    unless its rows are the object last built from; ValueError for a name without rows."""
     name = algebra.name
-    try:
-        built = _BUILT[name]
-        if built[0] is RELATION_ROWS[name]:
-            return built
-    except KeyError:
-        if name not in RELATION_ROWS:
-            raise ValueError(f"no relation rows for {name!r}") from None
-    rows = RELATION_ROWS[name]
+    rows = RELATION_ROWS.get(name)
+    if rows is None:
+        raise ValueError(f"no relation rows for {name!r}")
+    built = _BUILT.get(name)
+    if built is not None and built[0] is rows:
+        return built
     # a row (i, j, e) gives m[i][j] = e and m[j][i] = -e
     m = [[0] * algebra.d for _ in range(algebra.d)]
     for i, j, e in rows:
         m[i][j], m[j][i] = e, -e
-    _BUILT[name] = (rows, m, _compile_kernel(order_kernel_source(m)))
-    return _BUILT[name]
+    built = _BUILT[name] = (rows, m, _compile_kernel(order_kernel_source(m)))
+    return built
 
 
 def _check_positions(algebra: AlgebraDescriptor, positions: Iterable[int]) -> None:

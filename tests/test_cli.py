@@ -165,6 +165,11 @@ def test_apply_scalar_valued_map(capsys):
     assert capsys.readouterr().out.strip() == "q^(1/2)"
 
 
+def test_apply_scalar_valued_map_json(capsys):
+    assert main(["apply", "--map", "epsilon", "--format", "json", "U V - 2 V^3 U"]) == 0
+    assert capsys.readouterr().out == '{"scalar": [[-3, -2, 1, 0, 1], [1, 1, 1, 0, 1]]}\n'
+
+
 def test_apply_map_algebra_mismatch(capsys):
     code = main(["apply", "--map", "mu", "--algebra", "torus", "U"])
     assert code == 2

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,13 @@ def test_phase_pow_examples():
     assert phase_pow(2) == PhaseScalar({2: 1})  # q itself
     assert phase_pow(-1) == PhaseScalar({-1: 1})  # q^(-1/2)
     assert phase_pow(2) * phase_pow(2) == phase_pow(4)
+
+
+@pytest.mark.parametrize("e", [True, 1.5, 2.0], ids=["bool", "float", "integral-float"])
+def test_phase_pow_takes_only_an_int(e):
+    # the message of PhaseScalar({True: 1}); no text or record is built from a non-int
+    with pytest.raises(TypeError, match=f"s-exponent must be an integer, got {e!r}"):
+        phase_pow(e)
 
 
 def test_addition_examples():
@@ -381,3 +389,15 @@ def test_a_sum_keeps_its_kind_and_cancels_to_zero():
     assert parse_expression(TORUS, "U - 1 + 1 - U") == TORUS.zero()
     assert parse_expression(TORUS, "1 - 1 + U") == u
     assert parse_expression(TORUS, "2 + q + U - 1") == u + TORUS.unit().scale(parse_phase("1 + q"))
+
+
+# the most digits int() converts; 0 where there is no limit (or no way to read it)
+INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_MAX_STR_DIGITS, reason="int() converts a number of any length")
+@pytest.mark.parametrize("template", ["{}", "U^({})"], ids=["bare-number", "exponent"])
+def test_a_number_too_long_for_int_is_a_parse_error_at_its_position(template):
+    with pytest.raises(ParseError) as err:
+        parse_expression(TORUS, template.format("9" * (INT_MAX_STR_DIGITS + 1)))
+    assert str(err.value) == f"number too long (at position {template.index('{')})"

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qtorus import suite
 from qtorus.algebra import ALGEBRAS, CIRCLE, P2, TORUS
 from qtorus.phases import PhaseScalar
 from qtorus.suite import (
@@ -160,3 +161,22 @@ def test_discrepancy_check_confirms_the_mismatch():
     report = run_suite(TrialConfig(seed=1, trials=5), ["p2-formula-vs-relations-discrepancy"])[0]
     assert report.status == "pass"
     assert report.trials > 6000  # includes the exhaustive small box
+
+
+def test_discrepancy_check_makes_one_row_pass_per_left_index(monkeypatch):
+    calls = {"rows": 0, "exponent": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(suite, "normal_order_rows", counted("rows", suite.normal_order_rows))
+    monkeypatch.setattr(suite, "normal_order_exponent",
+                        counted("exponent", suite.normal_order_exponent))
+    report = run_suite(TrialConfig(seed=1, trials=5), ["p2-formula-vs-relations-discrepancy"])[0]
+    assert report.status == "pass" and report.trials == 1 + 81 * 81
+    # one pass per left index of [-1,1]^4, and the single (U2, V2) witness word
+    assert calls == {"rows": 81, "exponent": 1}
