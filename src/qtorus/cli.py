@@ -44,12 +44,21 @@ def _format_complex(z: complex) -> str:
 
 
 def _print_element(element: AlgebraElement, fmt: str) -> None:
-    if fmt == "text":
-        print(element.render())
-    elif isinstance(element, PhaseScalar):
-        print(json.dumps({"scalar": element.to_records()}))
-    else:
-        print(json.dumps({"algebra": element.algebra.name, "terms": element.to_records()}))
+    try:
+        if fmt == "text":
+            print(element.render())
+        elif isinstance(element, PhaseScalar):
+            print(json.dumps({"scalar": element.to_records()}))
+        else:
+            print(json.dumps({"algebra": element.algebra.name, "terms": element.to_records()}))
+    except ValueError:  # str() of an int with more digits than it converts; name the first
+        limit = sys.get_int_max_str_digits()
+        for a, e in sorted(element.flat):
+            entries = [i for i, k in enumerate(a) if abs(k) >= 10**limit]
+            if entries or abs(e) >= 10**limit:
+                what = f"index entry {entries[0]}" if entries else f"the s-exponent at index {a}"
+                raise ValueError(f"{what} has more than the {limit} digits str() writes") from None
+        raise
 
 
 def _cmd_normalize(args) -> int:

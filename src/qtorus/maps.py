@@ -67,8 +67,8 @@ class LinearMap:
     (i, j, m), each meaning m * a[i] * a[j]; ``linear`` is its linear part,
     empty or one integer per source generator.  Applying the map moves each
     flat term (a, e) -> c to (A a, e + P(a)) -> c, with (A a, P(a)) from
-    ``image(a)``, and merges them by ``_merge_into``, so f(x + c*y) = f(x) + c*f(y)
-    as built; a sum that cancels is dropped at its merge.
+    ``image(a)``; terms that meet (never under an injective A) merge by ``_merge_into``,
+    so f(x + c*y) = f(x) + c*f(y) as built; a sum that cancels is dropped at its merge.
     """
 
     name: str
@@ -101,7 +101,9 @@ class LinearMap:
             )
         image = self.image
         pairs = [((b, e + g), c) for (a, e), c in x._terms.items() for b, g in [image(a)]]
-        return AlgebraElement._raw(self.target, _merge_into({}, pairs))
+        out = dict(pairs)  # the merge itself when no key repeats, as under an injective A
+        out = out if len(out) == len(pairs) else _merge_into({}, pairs)
+        return AlgebraElement._raw(self.target, out)
 
     @cached_property
     def kernel_source(self) -> str:

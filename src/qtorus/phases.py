@@ -15,9 +15,9 @@ A scalar is a ``PhaseScalar``, an element of the rank-0 algebra
 This module also holds the library's one expression grammar: the tokenizer,
 one ``finditer`` scan of one cached pattern per generator set, and the
 recursive-descent parser behind both :func:`parse_phase` (scalars alone) and
-``qtorus.cli.parse_expression`` (elements of a named algebra, whose
-generators the parser takes from the algebra it is given).  The parser sums
-the terms of a sum in one merge.
+``qtorus.cli.parse_expression`` (elements of a named algebra, whose generators
+and product kernel it uses).  A term folds its one-term factors into one flat
+term through that kernel, and a sum adds its terms in one merge.
 
 All values are immutable and all operations are pure functions, so they may
 be shared freely between threads.
@@ -120,7 +120,7 @@ def tokenize(text: str, names: tuple[str, ...] = ()) -> list[Token]:
 # Parentheses nest at most this deep; canonical renderings nest at most 2.
 MAX_NESTING = 100
 
-_I = PhaseScalar(GaussianRational(0, 1))
+_I, _MINUS_ONE = GaussianRational(0, 1), GaussianRational(-1)
 
 
 class _Parser:
@@ -130,88 +130,83 @@ class _Parser:
         term   := factor+            with '*' allowed between factors
         factor := gen [^ int] | rational | i | q [^ q-exp] | ( expr )
 
-    Products are left-associative.  Scalar factors evaluate to PhaseScalar
-    and stay scalars until they meet a generator.  ``algebra`` (an
-    AlgebraDescriptor, or None for scalars alone) supplies the generators
-    and the unit into which a scalar is lifted when it is added to an element.
-    ``end``, the length of the text, is the position of the "end" token that
-    closes the token list, where an error at the end of the input is reported.
+    A term folds its factors of one flat term into one flat term through the
+    algebra's product kernel; only a parenthesized sum of several flat terms is
+    multiplied as an element.  Products are left-associative, and a term without
+    a generator is a PhaseScalar.  ``algebra`` (an AlgebraDescriptor, or None for
+    scalars alone) supplies the generators, the kernel and the unit that lifts a
+    scalar added to an element.  ``end``, the text's length, is the position of
+    the closing "end" token, where an error at the end of the input is reported.
     """
 
     def __init__(self, tokens: list[Token], end: int, algebra=None):
         self.tokens = [*tokens, ("end", None, end)]
-        self.algebra = algebra
-        self.i = 0
-        self.depth = 0
-
-    def _at(self, ops: str) -> bool:
-        """Whether the next token is one of the operators in ``ops``."""
-        kind, value, _ = self.tokens[self.i]
-        return kind == "op" and value in ops
-
-    def _close(self) -> None:
-        """Consume the ')' that must come next."""
-        if not self._at(")"):
-            raise ParseError("expected ')'", self.tokens[self.i][2])
-        self.i += 1
-
-    def _sign(self) -> int:
-        if self._at("+-"):
-            self.i += 1
-            return -1 if self.tokens[self.i - 1][1] == "-" else 1
-        return 1
+        self.algebra, self.i, self.depth = algebra, 0, 0
 
     def expr(self):
         """A sum: its terms are merged into one dict, each term once.  If any term
         is an element, the scalar terms are lifted into the algebra's unit first."""
-        terms = [self._signed_term()]
-        while self._at("+-"):
-            terms.append(self._signed_term())
-        if len(terms) == 1:
-            return terms[0]
-        if all(isinstance(t, PhaseScalar) for t in terms):
+        terms = []
+        while True:
+            kind, op, _ = self.tokens[self.i]
+            if kind == "op" and op in "+-":  # a sign, optional before the first term
+                self.i += 1
+            elif terms:
+                break
+            terms.append(self.term(_MINUS_ONE if (kind, op) == ("op", "-") else _GR_ONE))
+        if AlgebraElement not in {type(t) for t in terms}:  # all are PhaseScalar
             algebra = POINT
         else:
             algebra, unit = self.algebra, self.algebra.unit()
             terms = [unit.scale(t) if isinstance(t, PhaseScalar) else t for t in terms]
-        out = dict(terms[0]._terms)
-        for t in terms[1:]:
-            _merge_into(out, t._terms.items())
-        return AlgebraElement._raw(algebra, out)
+        pairs = (pair for t in terms for pair in t._terms.items())
+        return AlgebraElement._raw(algebra, _merge_into({}, pairs))
 
-    def _signed_term(self):
-        sign = self._sign()
-        term = self.term()
-        return term if sign == 1 else -term
-
-    def term(self):
-        value = self.factor()
+    def term(self, c: GaussianRational):
+        """The product of the factors times the sign ``c``.  A factor's flat term (b, f, d)
+        folds into (a, e, c), a being None while the term is a scalar; before a sum of
+        several flat terms, and at the end, the fold multiplies ``value`` and restarts."""
+        tokens, a, e, value = self.tokens, None, 0, ONE  # ONE: nothing multiplied yet
         while True:
-            kind, op, _ = self.tokens[self.i]
+            factor = self.factor()
+            if type(factor) is tuple:
+                b, f, d = factor  # delta^a delta^b is s**g delta^(a + b); None is a scalar's index
+                a, g = (a, 0) if b is None else (b, 0) if a is None else self.algebra._kernel(a, b)
+                e += f + g
+                c = d if c is _GR_ONE else c if d is _GR_ONE else c * d
+            kind, op, _ = tokens[self.i]
             if kind == "op" and op == "*":
                 self.i += 1
-            elif kind == "end" or (kind == "op" and op != "("):
-                break  # no factor starts here
-            value = value * self.factor()
-        return value
+            last = kind == "end" or (kind == "op" and op not in "(*")  # no factor follows
+            if last or type(factor) is not tuple:
+                if a is not None or e or c is not _GR_ONE:  # the fold is not 1
+                    fold = AlgebraElement._raw(self.algebra if a else POINT,
+                                               {(a or (), e): c} if c else {})
+                    value, a, e, c = fold if value is ONE else value * fold, None, 0, _GR_ONE
+                if type(factor) is not tuple:
+                    value = factor if value is ONE else value * factor
+                if last:
+                    return value
 
     def factor(self):
+        """A factor's flat term (index, None for a scalar; s-exponent; coefficient),
+        or the value of a parenthesized sum of several flat terms or none."""
         kind, value, pos = self.tokens[self.i]
         self.i += 1
-        if kind == "num":  # the triple of GaussianRational.from_value, none for 0
-            c = _reduced(value.numerator, 0, value.denominator)
-            return AlgebraElement._raw(POINT, {((), 0): c} if value else {})
+        if kind == "num":
+            return None, 0, _reduced(value.numerator, 0, value.denominator)
         if kind == "name":
             if value == "i":
-                return _I
-            units = 2 if value == "q" else 1
-            power = units  # a bare symbol is its first power
-            if self._at("^"):
+                return None, 0, _I
+            power = units = 2 if value == "q" else 1  # a bare symbol is its first power
+            if self.tokens[self.i][1] == "^":  # only an operator token holds "^"
                 self.i += 1
                 power = self._exponent(units)
             if value == "q":
-                return phase_pow(power)
-            return self.algebra.generator(value, power)
+                return None, power, _GR_ONE
+            names = self.algebra.generator_names
+            at = names.index(value)
+            return (0,) * at + (power,) + (0,) * (len(names) - at - 1), 0, _GR_ONE
         if kind == "word":
             where = f" for algebra {self.algebra.name!r}" if self.algebra else ""
             raise ParseError(f"unknown generator {value!r}{where}", pos)
@@ -221,33 +216,37 @@ class _Parser:
             self.depth += 1
             inner = self.expr()
             self.depth -= 1
-            self._close()
-            return inner
-        if kind == "end":
-            raise ParseError("expected an expression", pos)
-        raise ParseError(f"unexpected {value!r}", pos)
+            if self.tokens[self.i][:2] != ("op", ")"):
+                raise ParseError("expected ')'", self.tokens[self.i][2])
+            self.i += 1
+            if len(inner._terms) != 1:
+                return inner
+            ((b, f), d), = inner._terms.items()
+            return b or None, f, d  # a scalar's index is ()
+        raise ParseError("expected an expression" if kind == "end" else f"unexpected {value!r}",
+                         pos)
 
     def _exponent(self, units: int) -> int:
-        """An exponent, optionally parenthesized and signed, times ``units``.
-
-        Generator powers are read with units 1 and q powers with units 2
-        (s-exponent units); either way the result must be an integer.
-        """
-        parens = self._at("(")
-        if parens:
+        """A signed exponent, perhaps in parentheses, times ``units`` (1 for a generator,
+        2 for q, in s-exponent units); the result must be an integer."""
+        tokens, sign = self.tokens, 1
+        parens = tokens[self.i][:2] == ("op", "(")
+        self.i += parens
+        if tokens[self.i][:2] in (("op", "+"), ("op", "-")):
+            sign = -1 if tokens[self.i][1] == "-" else 1
             self.i += 1
-        sign = self._sign()
-        kind, value, pos = self.tokens[self.i]
+        kind, value, pos = tokens[self.i]
         if kind != "num":
             raise ParseError("expected an exponent", pos)
         power, rest = divmod(sign * units * value.numerator, value.denominator)
         if rest:
-            what = "q exponent must be a multiple of 1/2" if units == 2 else (
-                "generator exponent must be an integer")
-            raise ParseError(what, pos)
+            raise ParseError("q exponent must be a multiple of 1/2" if units == 2 else
+                             "generator exponent must be an integer", pos)
         self.i += 1
         if parens:
-            self._close()
+            if tokens[self.i][:2] != ("op", ")"):
+                raise ParseError("expected ')'", tokens[self.i][2])
+            self.i += 1
         return power
 
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -384,3 +385,25 @@ def test_random_flags_exit_cleanly(command, flags):
     assert "Traceback" not in err
     if code == 2:
         assert err.strip() and not out
+
+
+
+# the most digits str() writes of an int; 0 where there is no limit (or no way to read it)
+INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_MAX_STR_DIGITS, reason="str() writes an int of any length")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("kind", ["s-exponent", "index-entry"])
+def test_a_result_with_a_number_too_long_to_write_names_it(fmt, kind):
+    limit = INT_MAX_STR_DIGITS
+    # V^n U^n is q^(-n^2) U^n V^n, so n of limit/2 + 1 digits gives an s-exponent of
+    # more than limit digits; n of limit digits is read, and U^n U^n has an entry 2n
+    half, full = "9" * (limit // 2 + 1), "9" * limit
+    left, right, what = {
+        "s-exponent": (f"V^({half})", f"U^({half})", f"the s-exponent at index ({half}, {half})"),
+        "index-entry": (f"V U^({full})", f"U^({full})", "index entry 0"),
+    }[kind]
+    code, out, err = _run_main(["mul", "--algebra", "torus", "--format", fmt, left, right])
+    assert (code, out) == (2, "")
+    assert err == f"error: {what} has more than the {limit} digits str() writes\n"

@@ -305,3 +305,25 @@ def test_generator_images_match_closed_forms_on_generators():
             for target_name, power in word:
                 expected = expected * fmap.target.generator(target_name, power)
             assert image == expected
+
+
+@pytest.mark.parametrize("name, terms, merged", [
+    # mu: U1 and U2 both go to U, and V1 U2 to q^(-1) U V, as does q^(-1) U1 V1
+    ("mu", [((1, 0, 0, 0), 0, 1), ((0, 0, 1, 0), 0, 2), ((0, 1, 1, 0), 0, 1),
+            ((1, 1, 0, 0), -2, -1), ((0, 0, 0, 1), 0, 1)], {((1, 0), 0): 3, ((0, 1), 0): 1}),
+    # epsilon: U V goes to q^(1/2), which U V^-1 q^(1) and 3 q^(1/2) also give
+    ("epsilon", [((1, 1), 0, 1), ((1, -1), 2, 2), ((0, 0), 1, -3), ((0, 1), 0, 5)],
+     {((), 0): 5}),
+    ("eps-id", [((1, 1, 0, 1), 0, 1), ((0, 0, 0, 1), 1, -1), ((2, 0, 0, 1), 0, 4)],
+     {((0, 1), 0): 4}),
+    ("id-eps", [((1, 0, 1, 1), 0, 2), ((1, 0, 0, 0), 1, -2), ((1, 0, 2, 0), 0, 1)],
+     {((1, 0), 0): 1}),
+], ids=["mu", "epsilon", "eps-id", "id-eps"])
+def test_a_map_merges_the_terms_that_meet_and_drops_those_that_cancel(name, terms, merged):
+    fmap = MAPS[name]
+    x = AlgebraElement(fmap.source, {})
+    for idx, e, c in terms:
+        x = x + phase_pow(e) * c * fmap.source.basis(idx)
+    image = fmap(x)
+    assert image.flat == merged and all(image.flat.values())
+    assert image == _reference_apply(REFERENCE_RULES[name], x)

@@ -1,7 +1,9 @@
 """Exact scalar ring: arithmetic laws, numeric evaluation, text round-trip."""
 
 import cmath
+import functools
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtorus.algebra import P2, TORUS, AlgebraElement, _merge_into
+from qtorus.algebra import CIRCLE, P2, TORUS, AlgebraElement, _merge_into
 from qtorus.cli import parse_expression
 from qtorus.phases import (
     MAX_NESTING,
@@ -401,3 +403,101 @@ def test_a_number_too_long_for_int_is_a_parse_error_at_its_position(template):
     with pytest.raises(ParseError) as err:
         parse_expression(TORUS, template.format("9" * (INT_MAX_STR_DIGITS + 1)))
     assert str(err.value) == f"number too long (at position {template.index('{')})"
+
+
+# --- a term is folded into one flat term ---
+
+def _sixteen_term_torus_element():
+    """16 terms off the unit index; 4 of them (every fourth) have two s-powers."""
+    indices = [(m, n) for m in range(-2, 2) for n in range(-2, 3) if (m, n) != (0, 0)][:16]
+    support = {}
+    for k, idx in enumerate(indices):
+        c = GaussianRational(Fraction(2 * k - 15, 3), k % 3 - 1)
+        powers = {k % 5 - 2: c, k % 5 + 1: 2 * c} if k % 4 == 0 else {k % 7 - 3: c}
+        support[idx] = PhaseScalar(powers)
+    return AlgebraElement(TORUS, support)
+
+
+def test_a_canonical_rendering_is_parsed_without_element_products(monkeypatch):
+    x = _sixteen_term_torus_element()
+    calls = {"element": 0, "scalar": 0}
+
+    def counting(name, method):
+        def wrapper(self, other):
+            calls[name] += 1
+            return method(self, other)
+        return wrapper
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counting("element", AlgebraElement.__mul__))
+    monkeypatch.setattr(PhaseScalar, "__mul__", counting("scalar", PhaseScalar.__mul__))
+    monkeypatch.setattr(PhaseScalar, "__rmul__", counting("scalar", PhaseScalar.__rmul__))
+    assert len(x.flat) == 20 and parse_expression(TORUS, x.render()) == x
+    # one scalar product per coefficient of two s-powers: (c1 + c2) * U^m V^n
+    assert calls == {"element": 0, "scalar": 4}
+
+
+def _atom(algebra):
+    """(text, value) of one factor without parentheses."""
+    names = algebra.generator_names if algebra else ()
+    generators = st.builds(
+        lambda name, power, parens: (
+            f"{name}^({power})" if parens else f"{name}^{power}", algebra.generator(name, power)),
+        st.sampled_from(names), st.integers(-3, 3), st.booleans()) if names else st.nothing()
+    rationals = small_fractions.filter(lambda r: r >= 0).map(lambda r: (str(r), PhaseScalar(r)))
+    q_powers = st.integers(-5, 5).map(lambda k: (f"q^({k}/2)", phase_pow(k)))
+    return st.one_of(generators, rationals, q_powers,
+                     st.just(("i", PhaseScalar(GaussianRational(0, 1)))))
+
+
+def _lifted_sum(algebra, values):
+    """The sum of ``values`` as the parser forms it: scalars lifted into the unit
+    when any value is an element, merged in order."""
+    if algebra and not all(isinstance(v, PhaseScalar) for v in values):
+        values = [algebra.unit().scale(v) if isinstance(v, PhaseScalar) else v for v in values]
+    return functools.reduce(operator.add, values)
+
+
+@st.composite
+def _factors(draw, algebra):
+    """(text, value) factors: atoms, and parenthesized sums of one or more terms."""
+    atom = _atom(algebra)
+    terms = st.tuples(st.booleans(), st.lists(atom, min_size=1, max_size=3))
+    factors = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 3)):
+            factors.append(draw(atom))
+            continue
+        parts, values = [], []
+        for k, (minus, term) in enumerate(draw(st.lists(terms, min_size=1, max_size=3))):
+            parts.append(("-" if minus else "+" if k else "") + " ".join(t for t, _ in term))
+            value = functools.reduce(operator.mul, [v for _, v in term])
+            values.append(-value if minus else value)
+        factors.append((f"({' '.join(parts)})", _lifted_sum(algebra, values)))
+    return factors
+
+
+def _joined(draw, factors):
+    return "".join(text + (draw(st.sampled_from([" ", "*", " * "])) if k < len(factors) - 1
+                           else "") for k, (text, _) in enumerate(factors))
+
+
+@pytest.mark.parametrize("algebra", [TORUS, P2, CIRCLE], ids=lambda a: a.name)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_term_parses_to_the_product_of_its_factors(algebra, data):
+    factors = data.draw(_factors(algebra))
+    expected = functools.reduce(operator.mul, [v for _, v in factors])
+    if isinstance(expected, PhaseScalar):
+        expected = algebra.unit().scale(expected)
+    got = parse_expression(algebra, _joined(data.draw, factors))
+    assert got == expected and list(got.flat) == list(expected.flat)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_scalar_term_parses_to_the_product_of_its_factors(data):
+    factors = data.draw(_factors(None))
+    expected = functools.reduce(operator.mul, [v for _, v in factors])
+    got = parse_phase(_joined(data.draw, factors))
+    assert type(got) is PhaseScalar
+    assert got == expected and list(got.flat) == list(expected.flat)
