@@ -41,6 +41,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 from math import fsum, gcd
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
@@ -64,6 +65,7 @@ Number = Union[int, Fraction, "GaussianRational"]
 ScalarLike = Union[Number, "PhaseScalar"]
 
 _new_object = object.__new__
+_real, _imag = attrgetter("real"), attrgetter("imag")
 
 
 def _ratio_str(n: int, d: int) -> str:
@@ -156,6 +158,11 @@ class GaussianRational:
         return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
+
+    def _times_each(self, others) -> list:
+        """[self * o for o in others] for Gaussian rationals ``others``, in one call."""
+        a, b, d = self._a, self._b, self._d
+        return [_reduced(a * o._a - b * o._b, a * o._b + b * o._a, d * o._d) for o in others]
 
     def inverse(self) -> "GaussianRational":
         # d / (a + b*i) = d*(a - b*i) / (a*a + b*b)
@@ -491,9 +498,9 @@ class AlgebraElement:
         takes the algebra's row function, which gives every key
         ``(a + b, e + f + phi(a, b))`` of the product in one call.  Otherwise the
         algebra's kernel gives ``a + b`` and ``phi(a, b)`` once per pair of index
-        runs (adjacent flat terms sharing an index).  The coefficients are
-        multiplied once per pair of flat terms, and each product is added where its
-        key merges, as ``_merge_into`` does; a sum that cancels is dropped there."""
+        runs (adjacent flat terms sharing an index).  A left coefficient other than 1 multiplies
+        the right factor's coefficient row in one ``_times_each`` call; each product is added
+        where its key merges, as ``_merge_into`` does, and a sum that cancels is dropped there."""
         if isinstance(other, AlgebraElement):
             algebra = self.algebra
             if other.algebra is not algebra:
@@ -509,24 +516,22 @@ class AlgebraElement:
                 # b -> a + b is injective and the f of one index are distinct, so
                 # no two keys merge, and no product of nonzero coefficients is zero
                 ((a, e), c), = left.items()
-                coefficients = right.values() if c is _GR_ONE else [c * d for d in right.values()]
+                coefficients = right.values() if c is _GR_ONE else c._times_each(right.values())
                 out = dict(zip(algebra._row(a, e, right), coefficients))
                 return AlgebraElement._raw(algebra, out)
             # the merge of _merge_into, written out: handing it (key, coefficient)
             # pairs made products of suite-sized elements 1.13-1.20x slower
-            out = {}
-            a_run = None
+            out, a_run, ds = {}, None, list(right.values())
             for (a, e), c in left.items():
                 if a != a_run:
-                    # one row per left index run: (a + b, f + phi(a, b), d) per right term
+                    # one row per left index run: (a + b, f + phi(a, b)) per right term
                     a_run, b_run, row = a, None, []
-                    for (b, f), d in right.items():
+                    for b, f in right:
                         if b != b_run:
                             b_run, (ab, g) = b, kernel(a, b)
-                        row.append((ab, f + g, d))
-                for ab, g, d in row:
+                        row.append((ab, f + g))
+                for (ab, g), p in zip(row, ds if c is _GR_ONE else c._times_each(ds)):
                     key = (ab, e + g)
-                    p = d if c is _GR_ONE else c * d
                     acc = out.get(key)
                     if acc is None:
                         out[key] = p
@@ -577,12 +582,12 @@ class AlgebraElement:
                     float(e)  # an s-exponent outside float range stays an OverflowError
                     n, d = theta.as_integer_ratio()
                     s = cmath.exp(1j * math.pi * (n * e % (2 * d) / d))
-                z = 0j + c.to_complex() * s  # 0j + turns a -0.0 part into 0.0
-                if a in out:
-                    several.setdefault(a, [out[a]]).append(z)
-                out[a] = z
+                z = 0j + complex(c._a / c._d, c._b / c._d) * s  # 0j + turns -0.0 into 0.0
+                w = out.setdefault(a, z)  # each z is a new object, so "is" finds a repeat
+                if w is not z:
+                    several.setdefault(a, [w]).append(z)
             for a, zs in several.items():
-                out[a] = 0j + complex(fsum(z.real for z in zs), fsum(z.imag for z in zs))
+                out[a] = 0j + complex(fsum(map(_real, zs)), fsum(map(_imag, zs)))
         except (OverflowError, ValueError):  # fsum raises ValueError on inf - inf
             raise OverflowError(f"the value at index {a} is outside float range") from None
         return out

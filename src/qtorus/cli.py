@@ -18,7 +18,6 @@ errors.  An expression that starts with '-' goes after '--', as in
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -39,26 +38,32 @@ def parse_expression(algebra: AlgebraDescriptor, text: str) -> AlgebraElement:
     return algebra.unit().scale(value) if isinstance(value, PhaseScalar) else value
 
 
-def _format_complex(z: complex) -> str:
-    return f"{z.real:.12g}{z.imag:+.12g}i"
+def _too_long(flat) -> ValueError | None:
+    """The error naming the first int too long for str() in the flat terms ``flat``, in
+    canonical order: an index entry, an s-exponent, or a coefficient unless it is None."""
+    limit = sys.get_int_max_str_digits()
+    big = 10**limit
+    for (a, e), c in sorted(flat.items()):
+        ints = [*a, e, *(c.record_parts() if c is not None else ())]
+        i = next((j for j, k in enumerate(ints) if abs(k) >= big), None)
+        if i is not None:
+            what = (f"index entry {i}" if i < len(a) else f"the s-exponent at index {a}"
+                    if i == len(a) else f"the coefficient at index {a}, s-exponent {e}")
+            return ValueError(f"{what} has more than the {limit} digits str() writes")
 
 
 def _print_element(element: AlgebraElement, fmt: str) -> None:
     try:
         if fmt == "text":
-            print(element.render())
-        elif isinstance(element, PhaseScalar):
-            print(json.dumps({"scalar": element.to_records()}))
+            text = element.render()
         else:
-            print(json.dumps({"algebra": element.algebra.name, "terms": element.to_records()}))
-    except ValueError:  # str() of an int with more digits than it converts; name the first
-        limit = sys.get_int_max_str_digits()
-        for a, e in sorted(element.flat):
-            entries = [i for i, k in enumerate(a) if abs(k) >= 10**limit]
-            if entries or abs(e) >= 10**limit:
-                what = f"index entry {entries[0]}" if entries else f"the s-exponent at index {a}"
-                raise ValueError(f"{what} has more than the {limit} digits str() writes") from None
-        raise
+            import json  # only the JSON branches load json
+            records = element.to_records()
+            text = json.dumps({"scalar": records} if isinstance(element, PhaseScalar)
+                              else {"algebra": element.algebra.name, "terms": records})
+    except ValueError as err:  # str() of an int with more digits than it converts
+        raise _too_long(element.flat) or err from None
+    print(text)
 
 
 def _cmd_normalize(args) -> int:
@@ -102,6 +107,7 @@ def _cmd_check(args) -> int:
     if args.format == "text":
         print(render_reports_text(reports))
     else:
+        import json
         print(json.dumps(reports_to_records(reports)))
     return 0 if all(not r.failures for r in reports) else 1
 
@@ -115,13 +121,18 @@ def _cmd_eval(args) -> int:
     for idx, z in values:
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise OverflowError(f"the value at index {idx} is outside float range")
-    if args.format == "text":
-        for idx, z in values:
-            print(f"{algebra.monomial_text(idx) or '1'}: {_format_complex(z)}")
-    else:
-        coefficients = [{"index": list(idx), "re": z.real, "im": z.imag} for idx, z in values]
-        payload = {"algebra": algebra.name, "theta": args.theta, "coefficients": coefficients}
-        print(json.dumps(payload))
+    try:
+        if args.format == "text":
+            text = "".join(f"{algebra.monomial_text(idx) or '1'}: {z.real:.12g}{z.imag:+.12g}i\n"
+                           for idx, z in values)
+        else:
+            import json
+            coefficients = [{"index": list(idx), "re": z.real, "im": z.imag} for idx, z in values]
+            payload = {"algebra": algebra.name, "theta": args.theta, "coefficients": coefficients}
+            text = json.dumps(payload) + "\n"
+    except ValueError as err:  # str() of an int with more digits than it converts
+        raise _too_long({(idx, 0): None for idx, _ in values}) or err from None
+    sys.stdout.write(text)
     return 0
 
 

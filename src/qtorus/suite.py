@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .phases import ONE, GaussianRational, phase_pow
@@ -369,25 +370,28 @@ def _oracle_equivalence(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcom
 
     A box is checked one row (one left index a) at a time: the product of
     delta^a by the sum of the box's basis monomials, one call, whose terms are
-    the pairs' products because a + b is injective in b, is compared in one
-    dict comparison with the row's normal orderings, one kernel pass that
-    folds a's word once.  A row that differs is redone pair by pair; if every
-    pair then agrees, the product by the sum is wrong and the row's last
-    outcome says so.  Every 97th pair, failing ones included, is probed: its
-    own product is compared exactly and at the numeric probes.
+    the pairs' products because a + b is injective in b, is compared with the
+    row's normal orderings, one kernel pass that folds a's word once: keys in
+    order and values, else one dict comparison.  A row that differs is redone
+    pair by pair; if every pair then agrees, the product by the sum is wrong and
+    the row's last outcome says so.  Every 97th pair, failing ones included, is
+    probed: its own product is compared exactly and at the numeric probes.
     """
     pairs = 0
     for algebra in (TORUS, P2):
         idxs = _box(2, algebra.d)
         words = [tuple((p, k) for p, k in enumerate(b) if k) for b in idxs]
         basis = [algebra.basis(b) for b in idxs]
-        # every coefficient is _GR_ONE, which the row's dict comparison finds by identity
+        # every coefficient is _GR_ONE, which the row's comparison finds by identity
         box_sum = AlgebraElement(algebra, dict.fromkeys(idxs, ONE))
+        ones = [_GR_ONE] * len(idxs)
         for a, xa, word in zip(idxs, basis, words):
             orders = normal_order_rows(algebra, word, words)
             probe = (96 - pairs) % 97  # pair j of this row is probed if j % 97 == probe
             pairs += len(idxs)
-            if (xa * box_sum)._terms == {(idx, e): _GR_ONE for e, idx in orders}:
+            terms = (xa * box_sum)._terms
+            if (list(terms) == list(map(itemgetter(1, 0), orders)) and list(terms.values()) == ones
+                    or terms == {(idx, e): _GR_ONE for e, idx in orders}):
                 outcomes = [None] * len(idxs)
                 for j in range(probe, len(idxs), 97):
                     outcomes[j] = _oracle_pair_failure(

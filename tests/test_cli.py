@@ -394,16 +394,21 @@ INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 @pytest.mark.skipif(not INT_MAX_STR_DIGITS, reason="str() writes an int of any length")
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("kind", ["s-exponent", "index-entry"])
+@pytest.mark.parametrize("kind", ["s-exponent", "index-entry", "coefficient", "eval-index-entry"])
 def test_a_result_with_a_number_too_long_to_write_names_it(fmt, kind):
     limit = INT_MAX_STR_DIGITS
     # V^n U^n is q^(-n^2) U^n V^n, so n of limit/2 + 1 digits gives an s-exponent of
-    # more than limit digits; n of limit digits is read, and U^n U^n has an entry 2n
+    # more than limit digits, and n times n a coefficient of as many; n of limit digits
+    # is read, and U^n U^n has an entry 2n, in a product and in its evaluation
     half, full = "9" * (limit // 2 + 1), "9" * limit
-    left, right, what = {
-        "s-exponent": (f"V^({half})", f"U^({half})", f"the s-exponent at index ({half}, {half})"),
-        "index-entry": (f"V U^({full})", f"U^({full})", "index entry 0"),
+    (command, *args), what = {
+        "s-exponent": (["mul", f"V^({half})", f"U^({half})"],
+                       f"the s-exponent at index ({half}, {half})"),
+        "index-entry": (["mul", f"V U^({full})", f"U^({full})"], "index entry 0"),
+        "coefficient": (["mul", f"{half} U", half],
+                        "the coefficient at index (1, 0), s-exponent 0"),
+        "eval-index-entry": (["eval", "--theta", "0.1", f"U^({full}) U^({full})"], "index entry 0"),
     }[kind]
-    code, out, err = _run_main(["mul", "--algebra", "torus", "--format", fmt, left, right])
+    code, out, err = _run_main([command, "--algebra", "torus", "--format", fmt, *args])
     assert (code, out) == (2, "")
     assert err == f"error: {what} has more than the {limit} digits str() writes\n"

@@ -19,6 +19,11 @@ NOT_FOR_ALGEBRA = {"qtorus.rewrite", "qtorus.maps", "qtorus.suite", "dataclasses
 COMMAND = ("import sys, qtorus.cli; code = qtorus.cli.main(sys.argv[1:]); "
            "print(*sorted(sys.modules)); sys.exit(code)")
 BARE = "import sys; print(*sorted(sys.modules))"
+ALGEBRA_COMMANDS = [
+    ("normalize", "--algebra", "torus", "V U"),
+    ("mul", "--algebra", "p2", "U1 V2", "V1 U2^-1"),
+    ("eval", "--theta", "0.1375", "--algebra", "torus", "q^(1/2) U + V^-1"),
+]
 
 
 @functools.cache
@@ -35,15 +40,17 @@ def _loaded_by(*argv: str) -> set[str]:
     return _modules(COMMAND, *argv) - _modules(BARE)
 
 
-@pytest.mark.parametrize("argv", [
-    ("normalize", "--algebra", "torus", "V U"),
-    ("mul", "--algebra", "p2", "U1 V2", "V1 U2^-1"),
-    ("eval", "--theta", "0.1375", "--algebra", "torus", "q^(1/2) U + V^-1"),
-], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", ALGEBRA_COMMANDS, ids=lambda argv: argv[0])
 def test_an_algebra_command_loads_only_algebra_and_phases(argv):
     loaded = _loaded_by(*argv)
     assert {"qtorus", "qtorus.algebra", "qtorus.phases", "qtorus.cli"} <= loaded
     assert not loaded & NOT_FOR_ALGEBRA
+
+
+@pytest.mark.parametrize("argv", ALGEBRA_COMMANDS, ids=lambda argv: argv[0])
+def test_a_text_format_command_loads_no_json(argv):
+    assert "json" not in _loaded_by(*argv)
+    assert "json" in _loaded_by(*argv, "--format", "json")
 
 
 def test_apply_loads_the_maps_and_not_the_suite():

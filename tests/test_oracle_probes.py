@@ -130,9 +130,9 @@ def test_row_stream_equals_the_per_pair_reference(monkeypatch, plant):
     assert _outcomes(20000) == list(itertools.islice(_per_pair_reference(), 20000))
 
 
-def _plant_on_products(monkeypatch, one_term):
-    """An extra s on every element product whose factors are both one-term
-    (``one_term``) or not both one-term (otherwise)."""
+def _plant_on_products(monkeypatch, one_term, defect=lambda prod: prod.scale(phase_pow(1))):
+    """``defect`` (by default an extra s) on every element product whose factors
+    are both one-term (``one_term``) or not both one-term (otherwise)."""
     multiply = AlgebraElement.__mul__
 
     def defective(self, other):
@@ -140,7 +140,7 @@ def _plant_on_products(monkeypatch, one_term):
         if isinstance(other, AlgebraElement) and one_term == (
             len(self.flat) == 1 == len(other.flat)
         ):
-            return prod.scale(phase_pow(1))
+            return defect(prod)
         return prod
 
     monkeypatch.setattr(AlgebraElement, "__mul__", defective)
@@ -168,3 +168,15 @@ def test_a_defect_in_multi_term_products_only_fails_each_row(monkeypatch):
     assert outcomes[24] == (
         "torus (-2, -2)x[-2,2]^2: every pair agrees, but the product by their sum does not"
     )
+
+
+@pytest.mark.parametrize("defect, failing", [
+    # every key in its place, so only the coefficients differ
+    (lambda prod: prod.scale(2), [24, 49]),
+    # the right terms in the reverse order: the dict comparison passes them
+    (lambda prod: AlgebraElement._raw(prod.algebra, dict(reversed(prod.flat.items()))), []),
+], ids=["doubled-coefficients", "reversed-terms"])
+def test_a_row_compares_the_coefficients_and_not_the_term_order(monkeypatch, defect, failing):
+    _plant_on_products(monkeypatch, one_term=False, defect=defect)
+    outcomes = _outcomes(50)
+    assert [i for i, o in enumerate(outcomes) if o] == failing
