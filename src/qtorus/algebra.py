@@ -389,13 +389,9 @@ class AlgebraDescriptor:
 
     def generator(self, name: str, power: int = 1) -> "AlgebraElement":
         """The basis monomial of a named generator (power may be negative)."""
-        pos = self.generator_position(name)
         idx = [0] * self.d
-        idx[pos] = power
-        idx = tuple(idx)
-        if type(power) is not int:  # the one entry a caller sets; not a bool either
-            raise TypeError(f"index entries must be integers: {idx!r}")
-        return AlgebraElement._raw(self, {(idx, 0): _GR_ONE})
+        idx[self.generator_position(name)] = power
+        return self.basis(idx)
 
     def generator_position(self, name: str) -> int:
         try:
@@ -477,20 +473,16 @@ class AlgebraElement:
         return self + (-other)
 
     def scale(self, c: ScalarLike) -> "AlgebraElement":
-        """c * self for a scalar c: s-exponents add and coefficients multiply.  With
-        several s-powers in c, terms can merge, and ``_merge_into`` sums them."""
+        """c * self for a scalar c: s-exponents add and coefficients multiply.  For c = s**f only
+        the keys change; any other c goes through ``_merge_into``, which sums terms that meet."""
         if not isinstance(c, PhaseScalar):
             c = PhaseScalar(c)
-        terms = self._terms
-        if len(c._terms) == 1:  # no merges: each term keeps its own key
-            ((_, f), w), = c._terms.items()
-            if w == _GR_ONE:
-                out = {(a, e + f): v for (a, e), v in terms.items()} if f else terms
-            else:
-                out = {(a, e + f): w * v for (a, e), v in terms.items()}
-            return AlgebraElement._raw(self.algebra, out)
-        out = _merge_into({}, (((a, e + f), w * v) for (_, f), w in c._terms.items()
-                               for (a, e), v in terms.items()))
+        if list(c._terms.values()) == [_GR_ONE]:  # c is s**f: each term keeps its coefficient
+            (_, f), = c._terms
+            out = {(a, e + f): v for (a, e), v in self._terms.items()} if f else self._terms
+        else:
+            out = _merge_into({}, (((a, e + f), w * v) for (_, f), w in c._terms.items()
+                                   for (a, e), v in self._terms.items()))
         return AlgebraElement._raw(self.algebra, out)
 
     def __mul__(self, other: "AlgebraElement | ScalarLike") -> "AlgebraElement":

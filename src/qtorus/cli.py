@@ -32,10 +32,9 @@ def parse_expression(algebra: AlgebraDescriptor, text: str) -> AlgebraElement:
     """Parse expression text and evaluate it to a canonical element.
 
     The grammar is the one of :func:`qtorus.phases.parse_phase`, extended by
-    the generators of ``algebra``; a scalar result is lifted into the algebra.
+    the generators of ``algebra``; the parser builds the value in ``algebra``.
     """
-    value = parse_tokens(tokenize(text, algebra.generator_names), len(text), algebra)
-    return algebra.unit().scale(value) if isinstance(value, PhaseScalar) else value
+    return parse_tokens(tokenize(text, algebra.generator_names), len(text), algebra)
 
 
 def _too_long(flat) -> ValueError | None:
@@ -116,22 +115,22 @@ def _cmd_eval(args) -> int:
     if not math.isfinite(args.theta):
         raise ValueError(f"theta must be a finite number, got {args.theta}")
     algebra = ALGEBRAS[args.algebra]
+    element = parse_expression(algebra, args.expr)
+    if err := _too_long({(a, 0): None for a, _ in element.flat}):  # later lines write each index
+        raise err
     # one value per index, so sorting the items never compares two values
-    values = sorted(parse_expression(algebra, args.expr).eval_numeric(args.theta).items())
+    values = sorted(element.eval_numeric(args.theta).items())
     for idx, z in values:
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise OverflowError(f"the value at index {idx} is outside float range")
-    try:
-        if args.format == "text":
-            text = "".join(f"{algebra.monomial_text(idx) or '1'}: {z.real:.12g}{z.imag:+.12g}i\n"
-                           for idx, z in values)
-        else:
-            import json
-            coefficients = [{"index": list(idx), "re": z.real, "im": z.imag} for idx, z in values]
-            payload = {"algebra": algebra.name, "theta": args.theta, "coefficients": coefficients}
-            text = json.dumps(payload) + "\n"
-    except ValueError as err:  # str() of an int with more digits than it converts
-        raise _too_long({(idx, 0): None for idx, _ in values}) or err from None
+    if args.format == "text":
+        text = "".join(f"{algebra.monomial_text(idx) or '1'}: {z.real:.12g}{z.imag:+.12g}i\n"
+                       for idx, z in values)
+    else:
+        import json
+        coefficients = [{"index": list(idx), "re": z.real, "im": z.imag} for idx, z in values]
+        payload = {"algebra": algebra.name, "theta": args.theta, "coefficients": coefficients}
+        text = json.dumps(payload) + "\n"
     sys.stdout.write(text)
     return 0
 

@@ -133,19 +133,20 @@ class _Parser:
     A term folds its factors of one flat term into one flat term through the
     algebra's product kernel; only a parenthesized sum of several flat terms is
     multiplied as an element.  Products are left-associative, and a term without
-    a generator is a PhaseScalar.  ``algebra`` (an AlgebraDescriptor, or None for
-    scalars alone) supplies the generators, the kernel and the unit that lifts a
-    scalar added to an element.  ``end``, the text's length, is the position of
-    the closing "end" token, where an error at the end of the input is reported.
+    a generator is a PhaseScalar.  ``algebra`` (an AlgebraDescriptor, ``POINT`` for
+    scalars alone) supplies the generators and the kernel, and holds the value of
+    the whole expression.  ``end``, the text's length, is the position of the
+    closing "end" token, where an error at the end of the input is reported.
     """
 
-    def __init__(self, tokens: list[Token], end: int, algebra=None):
+    def __init__(self, tokens: list[Token], end: int, algebra=POINT):
         self.tokens = [*tokens, ("end", None, end)]
         self.algebra, self.i, self.depth = algebra, 0, 0
 
     def expr(self):
-        """A sum: its terms are merged into one dict, each term once.  If any term
-        is an element, the scalar terms are lifted into the algebra's unit first."""
+        """A sum: its terms are merged into one dict, each term once, in the parser's
+        algebra, a scalar term at the zero index.  A parenthesized sum of scalars alone
+        stays a PhaseScalar, so that it scales the term it stands in."""
         terms = []
         while True:
             kind, op, _ = self.tokens[self.i]
@@ -154,24 +155,23 @@ class _Parser:
             elif terms:
                 break
             terms.append(self.term(_MINUS_ONE if (kind, op) == ("op", "-") else _GR_ONE))
-        if AlgebraElement not in {type(t) for t in terms}:  # all are PhaseScalar
-            algebra = POINT
-        else:
-            algebra, unit = self.algebra, self.algebra.unit()
-            terms = [unit.scale(t) if isinstance(t, PhaseScalar) else t for t in terms]
+        algebra = self.algebra if not self.depth or AlgebraElement in map(type, terms) else POINT
+        zero = (0,) * algebra.d
         pairs = (pair for t in terms for pair in t._terms.items())
+        if zero:  # an element sum: a scalar term's index () goes to the zero index
+            pairs = (((a or zero, e), c) for (a, e), c in pairs)
         return AlgebraElement._raw(algebra, _merge_into({}, pairs))
 
     def term(self, c: GaussianRational):
         """The product of the factors times the sign ``c``.  A factor's flat term (b, f, d)
-        folds into (a, e, c), a being None while the term is a scalar; before a sum of
-        several flat terms, and at the end, the fold multiplies ``value`` and restarts."""
-        tokens, a, e, value = self.tokens, None, 0, ONE  # ONE: nothing multiplied yet
+        folds into (a, e, c), a being (), as in ``POINT``, while the term is a scalar; before
+        a sum of several flat terms, and at the end, the fold multiplies ``value`` and restarts."""
+        tokens, a, e, value = self.tokens, (), 0, ONE  # ONE: nothing multiplied yet
         while True:
             factor = self.factor()
             if type(factor) is tuple:
-                b, f, d = factor  # delta^a delta^b is s**g delta^(a + b); None is a scalar's index
-                a, g = (a, 0) if b is None else (b, 0) if a is None else self.algebra._kernel(a, b)
+                b, f, d = factor  # delta^a delta^b is s**g delta^(a + b); () is a scalar's index
+                a, g = (a, 0) if not b else (b, 0) if not a else self.algebra._kernel(a, b)
                 e += f + g
                 c = d if c is _GR_ONE else c if d is _GR_ONE else c * d
             kind, op, _ = tokens[self.i]
@@ -179,36 +179,36 @@ class _Parser:
                 self.i += 1
             last = kind == "end" or (kind == "op" and op not in "(*")  # no factor follows
             if last or type(factor) is not tuple:
-                if a is not None or e or c is not _GR_ONE:  # the fold is not 1
+                if a or e or c is not _GR_ONE:  # the fold is not 1
                     fold = AlgebraElement._raw(self.algebra if a else POINT,
-                                               {(a or (), e): c} if c else {})
-                    value, a, e, c = fold if value is ONE else value * fold, None, 0, _GR_ONE
+                                               {(a, e): c} if c else {})
+                    value, a, e, c = fold if value is ONE else value * fold, (), 0, _GR_ONE
                 if type(factor) is not tuple:
                     value = factor if value is ONE else value * factor
                 if last:
                     return value
 
     def factor(self):
-        """A factor's flat term (index, None for a scalar; s-exponent; coefficient),
+        """A factor's flat term (index, () for a scalar; s-exponent; coefficient),
         or the value of a parenthesized sum of several flat terms or none."""
         kind, value, pos = self.tokens[self.i]
         self.i += 1
         if kind == "num":
-            return None, 0, _reduced(value.numerator, 0, value.denominator)
+            return (), 0, _reduced(value.numerator, 0, value.denominator)
         if kind == "name":
             if value == "i":
-                return None, 0, _I
+                return (), 0, _I
             power = units = 2 if value == "q" else 1  # a bare symbol is its first power
             if self.tokens[self.i][1] == "^":  # only an operator token holds "^"
                 self.i += 1
                 power = self._exponent(units)
             if value == "q":
-                return None, power, _GR_ONE
+                return (), power, _GR_ONE
             names = self.algebra.generator_names
             at = names.index(value)
             return (0,) * at + (power,) + (0,) * (len(names) - at - 1), 0, _GR_ONE
         if kind == "word":
-            where = f" for algebra {self.algebra.name!r}" if self.algebra else ""
+            where = f" for algebra {self.algebra.name!r}" if self.algebra is not POINT else ""
             raise ParseError(f"unknown generator {value!r}{where}", pos)
         if value == "(":
             if self.depth == MAX_NESTING:
@@ -222,7 +222,7 @@ class _Parser:
             if len(inner._terms) != 1:
                 return inner
             ((b, f), d), = inner._terms.items()
-            return b or None, f, d  # a scalar's index is ()
+            return b, f, d
         raise ParseError("expected an expression" if kind == "end" else f"unexpected {value!r}",
                          pos)
 
@@ -250,10 +250,9 @@ class _Parser:
         return power
 
 
-def parse_tokens(tokens: list[Token], end: int, algebra=None):
-    """Parse a whole token list: a PhaseScalar, or an element of ``algebra``
-    if the expression names one of its generators.  ``end`` is the length of
-    the text the tokens came from."""
+def parse_tokens(tokens: list[Token], end: int, algebra=POINT):
+    """Parse a whole token list into an element of ``algebra``, a PhaseScalar
+    for ``POINT``.  ``end`` is the length of the text the tokens came from."""
     parser = _Parser(tokens, end, algebra)
     value = parser.expr()
     if parser.i != len(tokens):

@@ -59,6 +59,14 @@ def test_basis_rejects_wrong_dimension():
         TORUS.generator("U3")
 
 
+def test_a_generator_with_a_power_that_is_no_int_fails_as_its_basis_index():
+    with pytest.raises(TypeError) as generator_error:
+        TORUS.generator("U", 1.0)
+    with pytest.raises(TypeError) as basis_error:
+        TORUS.basis((1.0, 0))
+    assert str(generator_error.value) == str(basis_error.value)
+
+
 def test_cocycle_shapes():
     for algebra in ALGEBRAS.values():
         assert len(algebra.cocycle) == algebra.d
@@ -139,6 +147,18 @@ def test_add_and_scale_examples():
     assert 2 * (u + v) == 2 * u + 2 * v
     s_elem = phase_pow(1) * TORUS.unit()
     assert s_elem.support[(0, 0)] == phase_pow(1)
+
+
+@pytest.mark.parametrize("c", [2 * phase_pow(1), PhaseScalar(GaussianRational(0, 1))],
+                         ids=["2*q^(1/2)", "i"])
+def test_a_one_term_scalar_scales_each_term_in_the_elements_order(c):
+    x = AlgebraElement._raw(TORUS, {((1, 0), 0): GaussianRational(1),
+                                    ((0, 1), 1): GaussianRational(3),
+                                    ((-1, 2), -2): GaussianRational(0, -1)})
+    ((_, f), w), = c.flat.items()
+    got = x.scale(c)
+    assert list(got.flat.items()) == [((a, e + f), w * v) for (a, e), v in x.flat.items()]
+    assert got.algebra is TORUS
 
 
 def test_canonical_form_drops_zeros():

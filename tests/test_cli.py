@@ -394,7 +394,8 @@ INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 @pytest.mark.skipif(not INT_MAX_STR_DIGITS, reason="str() writes an int of any length")
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("kind", ["s-exponent", "index-entry", "coefficient", "eval-index-entry"])
+@pytest.mark.parametrize("kind", ["s-exponent", "index-entry", "coefficient", "eval-index-entry",
+                                  "eval-overflow-index-entry"])
 def test_a_result_with_a_number_too_long_to_write_names_it(fmt, kind):
     limit = INT_MAX_STR_DIGITS
     # V^n U^n is q^(-n^2) U^n V^n, so n of limit/2 + 1 digits gives an s-exponent of
@@ -408,6 +409,9 @@ def test_a_result_with_a_number_too_long_to_write_names_it(fmt, kind):
         "coefficient": (["mul", f"{half} U", half],
                         "the coefficient at index (1, 0), s-exponent 0"),
         "eval-index-entry": (["eval", "--theta", "0.1", f"U^({full}) U^({full})"], "index entry 0"),
+        # a coefficient outside float range overflows the value at that index
+        "eval-overflow-index-entry": (["eval", "--theta", "0.1",
+                                       f"{'9' * 400} U^({full}) U^({full})"], "index entry 0"),
     }[kind]
     code, out, err = _run_main([command, "--algebra", "torus", "--format", fmt, *args])
     assert (code, out) == (2, "")

@@ -21,6 +21,7 @@ from qtorus.phases import (
     ParseError,
     PhaseScalar,
     parse_phase,
+    parse_tokens,
     phase_pow,
     tokenize,
 )
@@ -391,6 +392,17 @@ def test_a_sum_keeps_its_kind_and_cancels_to_zero():
     assert parse_expression(TORUS, "U - 1 + 1 - U") == TORUS.zero()
     assert parse_expression(TORUS, "1 - 1 + U") == u
     assert parse_expression(TORUS, "2 + q + U - 1") == u + TORUS.unit().scale(parse_phase("1 + q"))
+
+
+def test_a_scalar_expression_parses_into_the_algebra_it_is_given():
+    text = "1/2 + q"
+    got = parse_tokens(tokenize(text), len(text), TORUS)
+    lifted = TORUS.unit().scale(parse_phase(text))
+    assert type(got) is AlgebraElement and got.algebra is TORUS
+    assert got == lifted and list(got.flat) == list(lifted.flat)
+    assert type(parse_tokens(tokenize(text), len(text))) is PhaseScalar
+    # a parenthesized sum of scalars alone stays a scalar inside the term it scales
+    assert parse_expression(TORUS, "(1/2 + q) U") == TORUS.basis((1, 0)).scale(parse_phase(text))
 
 
 # the most digits int() converts; 0 where there is no limit (or no way to read it)
