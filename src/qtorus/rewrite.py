@@ -9,7 +9,9 @@ at call time).  Those are exactly the adjacent swaps of a stable sort, so the
 sum is the sort's phase.  The pass runs a straight-line kernel made from that
 matrix (``order_kernel_source``), rebuilt whenever the rows are another object.
 It folds a prefix once and continues each suffix from the state the prefix
-left (:func:`normal_order_rows`).  Nothing here reads a cocycle matrix, so
+left (:func:`normal_order_rows`), or runs a nested loop over a box of words that
+folds a letter once per shared prefix and gives the product's flat keys
+(:func:`normal_order_box`).  Nothing here reads a cocycle matrix, so
 agreement between :func:`normal_order` and ``AlgebraElement.__mul__`` is a
 genuine cross-check.
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .phases import PhaseScalar, phase_pow
-from .algebra import AlgebraDescriptor, MultiIndex, _compile_kernel
+from .algebra import AlgebraDescriptor, MultiIndex, _compile_kernel, _tuple_text
 
 __all__ = [
     "GeneratorSymbol",
@@ -37,6 +39,7 @@ __all__ = [
     "normal_order",
     "normal_order_exponent",
     "normal_order_rows",
+    "normal_order_box",
     "order_kernel_source",
 ]
 
@@ -120,38 +123,48 @@ RELATION_ROWS: dict[str, tuple[tuple[int, int, int], ...]] = {
     "p3": _P3_ROWS,
 }
 
-_BUILT: dict[str, tuple] = {}  # name: (rows, swap matrix, order kernel), as last built
+_BUILT: dict[str, tuple] = {}  # name: (rows, swap matrix, order kernel, box kernel), as last built
 
 
 def order_kernel_source(m: Sequence[Sequence[int]]) -> str:
-    """Python source of the ``kernel(prefix, suffixes)`` of the swap matrix ``m``,
-    g_a g_b = s**m[a][b] g_b g_a: for each suffix, ``(s-exponent, index)`` of
-    ``prefix + suffix``, the prefix folded once.  A letter takes the branch of its
-    position b, adding m[a][b] per move past a later position a; KeyError for a
-    position not an int in range."""
-    powers = [f"p{b}" for b in range(len(m))]
+    """Python source of ``kernel`` and ``box`` for the swap matrix ``m``, g_a g_b = s**m[a][b]
+    g_b g_a.  Each folds ``prefix`` once: a letter takes the branch of its position b, adding
+    m[a][b] per move past a later position a; KeyError for a position not an int in range.
+    ``kernel(prefix, suffixes)`` gives ``(s-exponent, index)`` of ``prefix + suffix`` per suffix;
+    ``box(prefix, letters)`` the flat key ``(index, s-exponent)`` of ``prefix + b``'s word per b
+    in ``letters``^d, lexicographic: a nested loop per position b, whose ascending letters
+    each move past the prefix's later positions only, adding r * k_b (0 is no letter)."""
+    d = len(m)
+    powers = [f"p{b}" for b in range(d)]
+    moves = [" + ".join(f"{m[a][b]}*p{a}" for a in range(b + 1, d) if m[a][b]) for b in range(d)]
     state = ", ".join(["e", *powers])
     letter = ["if type(b) is not int and not isinstance(b, int):", "    raise KeyError(b)"]
-    for b in range(len(m)):
-        moves = " + ".join(f"{m[a][b]}*p{a}" for a in range(b + 1, len(m)) if m[a][b])
+    for b in range(d):
         letter.append(f"{'elif' if b else 'if'} b == {b}:")
-        if moves:
-            letter.append(f"    e += ({moves})*r")
+        if moves[b]:
+            letter.append(f"    e += ({moves[b]})*r")
         letter.append(f"    p{b} += r")
     letter += ["else:", "    raise KeyError(b)"]
 
     def fold(seq: str, indent: str) -> str:
         return f"{indent}for b, r in {seq}:\n" + "".join(f"{indent}    {x}\n" for x in letter)
 
-    return (f"def kernel(prefix, suffixes):\n    {' = '.join(powers)} = e = 0\n"
-            f"{fold('prefix', '    ')}    start = {state}\n    out = []\n"
+    start = f"    {' = '.join([*powers, 'e'])} = 0\n{fold('prefix', '    ')}"
+    box, e = "".join(f"    k{b} = {k}\n" for b, k in enumerate(moves) if k) + "    out = []\n", "e"
+    for b in range(d):
+        pad = "    " * (b + 1)
+        box += f"{pad}for r{b} in letters:\n{pad}    q{b} = p{b} + r{b}\n"
+        if moves[b]:
+            box, e = box + f"{pad}    e{b} = {e} + k{b}*r{b}\n", f"e{b}"
+    return (f"def kernel(prefix, suffixes):\n{start}    start = {state}\n    out = []\n"
             f"    for suffix in suffixes:\n        {state} = start\n{fold('suffix', '        ')}"
-            f"        out.append((e, ({', '.join(powers)}{',' * (len(powers) == 1)})))\n"
-            "    return out\n")
+            f"        out.append((e, {_tuple_text(powers)}))\n    return out\n\n"
+            f"def box(prefix, letters):\n{start}{box}{'    ' * (d + 1)}"
+            f"out.append(({_tuple_text([f'q{b}' for b in range(d)])}, {e}))\n    return out\n")
 
 
 def _oracle(algebra: AlgebraDescriptor) -> tuple:
-    """(rows, swap matrix, order kernel) of ``RELATION_ROWS[algebra.name]``, built anew
+    """(rows, swap matrix, order kernel, box kernel) of ``RELATION_ROWS[algebra.name]``, built anew
     unless its rows are the object last built from; ValueError for a name without rows."""
     name = algebra.name
     rows = RELATION_ROWS.get(name)
@@ -164,7 +177,8 @@ def _oracle(algebra: AlgebraDescriptor) -> tuple:
     m = [[0] * algebra.d for _ in range(algebra.d)]
     for i, j, e in rows:
         m[i][j], m[j][i] = e, -e
-    built = _BUILT[name] = (rows, m, _compile_kernel(order_kernel_source(m)))
+    source = order_kernel_source(m)
+    built = _BUILT[name] = (rows, m, _compile_kernel(source), _compile_kernel(source, "box"))
     return built
 
 
@@ -215,6 +229,22 @@ def normal_order_rows(
     except (KeyError, TypeError):
         # with every position good (a None power, say) the original error stands
         _check_positions(algebra, (p for seq in (prefix, *suffixes) for p, _ in seq))
+        raise
+
+
+def normal_order_box(algebra: AlgebraDescriptor, prefix: Sequence[tuple[int, int]],
+                     bound: int) -> list[tuple[MultiIndex, int]]:
+    """Flat keys ``(index, s-exponent)`` of ``prefix + word(b)``, word(b) the normal-ordered
+    word of each b in ``[-bound, bound]^d`` in lexicographic order: the box kernel of
+    :func:`order_kernel_source` folds the prefix once.  Errors as :func:`normal_order_rows`."""
+    if not isinstance(bound, int) or isinstance(bound, bool):
+        raise TypeError(f"box bound must be an int, got {bound!r}")
+    if bound < 0:
+        raise ValueError(f"box bound must be at least 0, got {bound}")
+    try:
+        return _oracle(algebra)[3](prefix, range(-bound, bound + 1))
+    except (KeyError, TypeError):
+        _check_positions(algebra, (p for p, _ in prefix))
         raise
 
 

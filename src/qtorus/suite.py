@@ -29,7 +29,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .phases import ONE, GaussianRational, phase_pow
@@ -44,7 +43,8 @@ from .algebra import (
     AlgebraElement,
     MultiIndex,
 )
-from .rewrite import RELATION_ROWS, normal_order_exponent, normal_order_rows, swap_exponent
+from .rewrite import (RELATION_ROWS, normal_order_box, normal_order_exponent, normal_order_rows,
+                      swap_exponent)
 from .maps import (
     GENERATOR_IMAGES,
     MAPS,
@@ -371,7 +371,7 @@ def _oracle_equivalence(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcom
     A box is checked one row (one left index a) at a time: the product of
     delta^a by the sum of the box's basis monomials, one call, whose terms are
     the pairs' products because a + b is injective in b, is compared with the
-    row's normal orderings, one kernel pass that folds a's word once: keys in
+    row's normal orderings, one box pass that folds a's word once: flat keys in
     order and values, else one dict comparison.  A row that differs is redone
     pair by pair; if every pair then agrees, the product by the sum is wrong and
     the row's last outcome says so.  Every 97th pair, failing ones included, is
@@ -386,21 +386,20 @@ def _oracle_equivalence(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcom
         box_sum = AlgebraElement(algebra, dict.fromkeys(idxs, ONE))
         ones = [_GR_ONE] * len(idxs)
         for a, xa, word in zip(idxs, basis, words):
-            orders = normal_order_rows(algebra, word, words)
+            keys = normal_order_box(algebra, word, 2)
             probe = (96 - pairs) % 97  # pair j of this row is probed if j % 97 == probe
             pairs += len(idxs)
             terms = (xa * box_sum)._terms
-            if (list(terms) == list(map(itemgetter(1, 0), orders)) and list(terms.values()) == ones
-                    or terms == {(idx, e): _GR_ONE for e, idx in orders}):
+            if (list(terms) == keys and list(terms.values()) == ones
+                    or terms == dict.fromkeys(keys, _GR_ONE)):
                 outcomes = [None] * len(idxs)
                 for j in range(probe, len(idxs), 97):
-                    outcomes[j] = _oracle_pair_failure(
-                        algebra, a, idxs[j], xa, basis[j], *orders[j], True
-                    )
+                    (idx, e), b = keys[j], idxs[j]
+                    outcomes[j] = _oracle_pair_failure(algebra, a, b, xa, basis[j], e, idx, True)
             else:
                 outcomes = [
                     _oracle_pair_failure(algebra, a, b, xa, xb, e, idx, j % 97 == probe)
-                    for j, (b, xb, (e, idx)) in enumerate(zip(idxs, basis, orders))
+                    for j, (b, xb, (idx, e)) in enumerate(zip(idxs, basis, keys))
                 ]
                 if not any(outcomes):
                     outcomes[-1] = (
