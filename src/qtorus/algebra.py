@@ -245,6 +245,10 @@ def _merge_into(out: dict, pairs) -> dict:
 
 _GR_ONE = GaussianRational(1)
 _NUMBERS = (int, Fraction, GaussianRational)
+# theta: {e: s**e for |e| <= 256}, for at most eight thetas, all dropped when a ninth comes; a
+# race between threads at worst builds a table twice.  -0.0 and 0.0 share a table: their powers
+# differ at most in the sign of a zero, which the 0j + of ``eval_numeric`` removes.
+_S_POWERS: dict[float, dict[int, complex]] = {}
 
 
 def _sorted_by_index(terms: dict) -> groupby:
@@ -560,25 +564,33 @@ class AlgebraElement:
 
         A coefficient or s-exponent too large for a float, or a sum that overflows, raises
         ``OverflowError`` naming the index; a value that overflows only in the product
-        c * s**e has an infinite part.  For |e| > 256, s**e is exp(i*pi*(n*e mod 2d)/d),
-        with n/d = theta exactly."""
-        # s has period 2 in theta; the reduction is exact and keeps pi*theta finite
-        base = cmath.exp(1j * math.pi * math.fmod(theta, 2.0))
+        c * s**e has an infinite part.  For |e| <= 256, s**e is base**e, base =
+        exp(i*pi*theta), read from a table built once per theta; for |e| > 256 it is
+        exp(i*pi*(n*e mod 2d)/d), with n/d = theta exactly."""
+        powers = _S_POWERS.get(theta)
+        if powers is None:  # s has period 2 in theta; the reduction is exact, pi*theta finite
+            base = cmath.exp(1j * math.pi * math.fmod(theta, 2.0))
+            if len(_S_POWERS) >= 8:
+                _S_POWERS.clear()
+            powers = _S_POWERS[theta] = {e: base**e for e in range(-256, 257)}
         out: dict[MultiIndex, complex] = {}
-        several: dict[MultiIndex, list[complex]] = {}  # the terms of each index that has several
+        several: dict[MultiIndex, list[complex]] | None = None  # each repeated index's terms
         try:
             for (a, e), c in self._terms.items():
-                if -256 <= e <= 256 or math.isnan(theta):  # a NaN has no integer ratio
-                    s = base**e
-                else:  # exact: base**e loses about |e| ulps of the angle
+                s = powers.get(e)
+                if s is None and math.isnan(theta):  # a NaN has no integer ratio; all is NaN
+                    s = powers[1] ** e
+                elif s is None:  # exact: base**e loses about |e| ulps of the angle
                     float(e)  # an s-exponent outside float range stays an OverflowError
                     n, d = theta.as_integer_ratio()
                     s = cmath.exp(1j * math.pi * (n * e % (2 * d) / d))
                 z = 0j + complex(c._a / c._d, c._b / c._d) * s  # 0j + turns -0.0 into 0.0
-                w = out.setdefault(a, z)  # each z is a new object, so "is" finds a repeat
-                if w is not z:
-                    several.setdefault(a, [w]).append(z)
-            for a, zs in several.items():
+                if a not in out:
+                    out[a] = z
+                else:
+                    several = several or {}
+                    several.setdefault(a, [out[a]]).append(z)
+            for a, zs in (several or {}).items():
                 out[a] = 0j + complex(fsum(map(_real, zs)), fsum(map(_imag, zs)))
         except (OverflowError, ValueError):  # fsum raises ValueError on inf - inf
             raise OverflowError(f"the value at index {a} is outside float range") from None

@@ -223,7 +223,11 @@ def normal_order_rows(
     each suffix continues from the powers and phase it left.  Inverses are
     negative powers; like generators merge by adding their powers.  A position
     outside the algebra, or an algebra without relation rows, raises ``ValueError``.
+    A word that is neither a list nor a tuple is copied into a tuple first, so that
+    a one-shot iterator can be read again to find a bad position.
     """
+    prefix = prefix if isinstance(prefix, (list, tuple)) else tuple(prefix)
+    suffixes = [s if isinstance(s, (list, tuple)) else tuple(s) for s in suffixes]
     try:
         return _oracle(algebra)[2](prefix, suffixes)
     except (KeyError, TypeError):

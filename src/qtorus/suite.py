@@ -142,19 +142,17 @@ def random_element(
     """A random finitely supported element, deterministic for a fixed seed.
 
     Support size lies in [1, max_support], indices in the exponent box, and
-    each coefficient is a pool entry times s**e with e in [-4, 4].
+    each coefficient is a pool entry times s**e with e in [-4, 4].  Each draw is
+    one ``rng.choice`` from a range, the one ``_randbelow`` call of ``randint``.
     """
-    if rng is None:
-        rng = random.Random(cfg.seed)
+    choice = (rng or random.Random(cfg.seed)).choice
     bound = cfg.exponent_bound
+    entries, powers, sizes = range(-bound, bound + 1), range(-4, 5), range(1, cfg.max_support + 1)
     while True:
         # each term draws its index, then its s-exponent, then its coefficient
-        terms = _merge_into({}, (
-            ((tuple(rng.randint(-bound, bound) for _ in range(algebra.d)), rng.randint(-4, 4)),
-             rng.choice(COEFF_POOL))
-            for _ in range(rng.randint(1, cfg.max_support))
-        ))
-        element = AlgebraElement._raw(algebra, terms)
+        terms = [((tuple([choice(entries) for _ in range(algebra.d)]), choice(powers)),
+                  choice(COEFF_POOL)) for _ in range(choice(sizes))]
+        element = AlgebraElement._raw(algebra, _merge_into({}, terms))
         if element:
             return element
 
@@ -357,8 +355,9 @@ def _oracle_pair_failure(
         )
     if not probed:
         return None
+    phase = phase_pow(exponent)
     for theta in THETA_PROBES:
-        gap = abs(prod.eval_numeric(theta)[idx] - phase_pow(exponent).eval_numeric(theta))
+        gap = abs(prod.eval_numeric(theta)[idx] - phase.eval_numeric(theta))
         if gap > NUMERIC_TOL:
             return f"{algebra.name} {a}x{b}: numeric gap {gap:.3e} at theta={theta}"
     return None
@@ -366,7 +365,7 @@ def _oracle_pair_failure(
 
 def _oracle_equivalence(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcome]:
     """Cocycle product vs normal ordering: the boxes [-2,2]^d squared for d=2,4,
-    then random pairs for d=6.
+    then random pairs for d=6, one outcome per pair.
 
     A box is checked one row (one left index a) at a time: the product of
     delta^a by the sum of the box's basis monomials, one call, whose terms are
@@ -375,8 +374,13 @@ def _oracle_equivalence(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcom
     order and values, else one dict comparison.  A row that differs is redone
     pair by pair; if every pair then agrees, the product by the sum is wrong and
     the row's last outcome says so.  Every 97th pair, failing ones included, is
-    probed: its own product is compared exactly and at the numeric probes.
+    probed: its own product is compared exactly and at the numeric probes.  The
+    stream chains the outcome list of each row and a 1-tuple for each random pair.
     """
+    return itertools.chain.from_iterable(_oracle_rows(cfg, rng))
+
+
+def _oracle_rows(cfg: TrialConfig, rng: random.Random) -> Iterator[Sequence[Outcome]]:
     pairs = 0
     for algebra in (TORUS, P2):
         idxs = _box(2, algebra.d)
@@ -406,13 +410,14 @@ def _oracle_equivalence(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcom
                         f"{algebra.name} {a}x[-2,2]^{algebra.d}: every pair agrees, "
                         "but the product by their sum does not"
                     )
-            yield from outcomes
+            yield outcomes
+    choice, entries = rng.choice, range(-2, 3)
     for _ in range(max(1000, cfg.trials)):
-        a = tuple(rng.randint(-2, 2) for _ in range(6))
-        b = tuple(rng.randint(-2, 2) for _ in range(6))
+        a = tuple([choice(entries) for _ in range(6)])
+        b = tuple([choice(entries) for _ in range(6)])
         seq = [(p, k) for x in (a, b) for p, k in enumerate(x) if k]
         order = normal_order_exponent(P3, seq)
-        yield _oracle_pair_failure(P3, a, b, P3.basis(a), P3.basis(b), *order, pairs % 97 == 96)
+        yield (_oracle_pair_failure(P3, a, b, P3.basis(a), P3.basis(b), *order, pairs % 97 == 96),)
         pairs += 1
 
 
@@ -423,12 +428,12 @@ def _confluence(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcome]:
         for _ in range(max(500, cfg.trials)):
             seq = [
                 (rng.randrange(algebra.d), rng.choice(nontrivial_powers))
-                for _ in range(rng.randint(1, 6))
+                for _ in range(rng.choice(range(1, 7)))
             ]
             e0, idx0 = normal_order_exponent(algebra, seq)
             shuffled = list(seq)
             acc = 0
-            for _ in range(rng.randint(1, 8)):
+            for _ in range(rng.choice(range(1, 9))):
                 if len(shuffled) < 2:
                     break
                 i = rng.randrange(len(shuffled) - 1)

@@ -1,7 +1,9 @@
 """Twisted algebras: basis products, unit, embeddings, serialization."""
 
+import cmath
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from operator import add, mul
@@ -20,6 +22,7 @@ from qtorus.algebra import (
     TORUS,
     AlgebraDescriptor,
     AlgebraElement,
+    _S_POWERS,
 )
 from qtorus.maps import LinearMap
 from qtorus.rewrite import normal_order, word_of_index
@@ -380,6 +383,46 @@ def test_eval_at_a_nan_theta_is_nan_for_a_small_or_large_s_exponent():
     for e in (1, 1000):
         (z,) = (phase_pow(e) * TORUS.basis((1, 0))).eval_numeric(float("nan")).values()
         assert z != z
+
+
+def test_each_value_is_bit_for_bit_its_direct_evaluation():
+    """|e| <= 256 is read from the table of base**e, base = exp(i*pi*fmod(theta, 2)), and
+    |e| = 257 takes the exact path; each float's hex is the value worked out here inline,
+    alone at its index and summed by fsum with the others at one index."""
+    exponents = (-257, -256, -1, 0, 1, 256, 257)
+    lone = {(k, 0): [[e, 2, 3, -5, 7]] for k, e in enumerate(exponents)}
+    records = [[list(a), parts] for a, parts in lone.items()]
+    records.append([[0, 1], [[e, 1 + abs(e) % 3, 1, 1, 2] for e in exponents]])
+    x = AlgebraElement.from_records(TORUS, records)
+    for theta in (*THETA_PROBES, -0.0, 0, 1e308, float("nan")):
+        base = cmath.exp(1j * math.pi * math.fmod(theta, 2.0))
+
+        def term(e, c):
+            if abs(e) <= 256 or math.isnan(theta):
+                s = base**e
+            else:
+                n, d = theta.as_integer_ratio()
+                s = cmath.exp(1j * math.pi * (n * e % (2 * d) / d))
+            return 0j + c * s
+
+        want = {(k, 0): term(e, complex(2 / 3, -5 / 7)) for k, e in enumerate(exponents)}
+        zs = [term(e, complex(1 + abs(e) % 3, 1 / 2)) for e in exponents]
+        want[(0, 1)] = 0j + complex(math.fsum(z.real for z in zs), math.fsum(z.imag for z in zs))
+        got = x.eval_numeric(theta)
+        assert {a: (z.real.hex(), z.imag.hex()) for a, z in got.items()} == {
+            a: (z.real.hex(), z.imag.hex()) for a, z in want.items()
+        }
+        if not math.isnan(theta):
+            assert [(z.real.hex(), z.imag.hex()) for z in _S_POWERS[theta].values()] == [
+                ((base**e).real.hex(), (base**e).imag.hex()) for e in range(-256, 257)
+            ]
+
+
+def test_the_table_of_powers_of_s_stays_bounded():
+    for k in range(40):
+        TORUS.generator("U").eval_numeric(k / 64)
+        assert 1 <= len(_S_POWERS) <= 8
+    assert 39 / 64 in _S_POWERS
 
 
 @pytest.mark.parametrize("parts", [[1, -2, 0, 1], [1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, -3]])

@@ -329,6 +329,32 @@ def test_normal_order_rows_name_a_bad_position_in_any_suffix():
         normal_order_rows(TORUS, [(0, 1)], [[(1, 1)], [(0, None)]])
 
 
+def test_a_bad_position_in_a_one_shot_prefix_is_a_value_error():
+    # the word is read once by the kernel and again to find the bad position
+    for prefix in (iter([(2, 1)]), ((p, 1) for p in (0, 1, 2))):
+        with pytest.raises(ValueError, match="position 2 out of range for 'torus'"):
+            normal_order_exponent(TORUS, prefix)
+
+
+def test_a_bad_position_in_a_one_shot_suffix_is_a_value_error():
+    with pytest.raises(ValueError, match="position 6 out of range for 'p3'"):
+        normal_order_rows(P3, [(0, 1)], [[(1, 1)], iter([(5, 1), (6, -1)])])
+
+
+def test_a_good_iterator_gives_the_result_of_its_list():
+    rng = random.Random(17)
+    for algebra in ALGEBRAS.values():
+        words = [[(rng.randrange(algebra.d), rng.choice([-2, -1, 1, 3])) for _ in range(n)]
+                 for n in (0, 1, 4, 6)]
+        for prefix in words:
+            assert normal_order_exponent(algebra, iter(prefix)) == normal_order_exponent(
+                algebra, prefix
+            )
+            assert normal_order_rows(algebra, iter(prefix), [iter(w) for w in words]) == (
+                normal_order_rows(algebra, prefix, words)
+            )
+
+
 # --- the oracle reads RELATION_ROWS when it is called ---
 
 @pytest.mark.parametrize("algebra", [P2_FORMULA_VARIANT, POINT], ids=["p2-formula", "point"])

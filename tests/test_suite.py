@@ -5,7 +5,7 @@ import random
 import pytest
 
 from qtorus import suite
-from qtorus.algebra import ALGEBRAS, CIRCLE, P2, TORUS
+from qtorus.algebra import ALGEBRAS, CIRCLE, P2, P3, TORUS
 from qtorus.phases import PhaseScalar
 from qtorus.suite import (
     CHECKS,
@@ -79,6 +79,26 @@ def test_random_element_drops_a_sum_that_cancels():
         replay = replay + PhaseScalar({e: rng.choice(COEFF_POOL)}) * CIRCLE.basis(idx)
     assert x == replay
     assert all(x.flat.values())
+
+
+@pytest.mark.parametrize("seed", [3, 26, 20260809])
+@pytest.mark.parametrize("algebra", [TORUS, P2, P3], ids=lambda a: a.name)
+def test_random_element_replays_with_randint(algebra, seed):
+    # the draws of each term, index then s-exponent then coefficient, made by randint
+    # and choice from the same generator, give equal elements in the same flat order
+    cfg = TrialConfig(seed=seed)
+    rng, replay_rng = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        x = random_element(algebra, cfg, rng)
+        replay = algebra.zero()
+        while not replay:
+            for _ in range(replay_rng.randint(1, cfg.max_support)):
+                idx = tuple(replay_rng.randint(-3, 3) for _ in range(algebra.d))
+                e = replay_rng.randint(-4, 4)
+                term = PhaseScalar({e: replay_rng.choice(COEFF_POOL)}) * algebra.basis(idx)
+                replay = replay + term
+        assert x == replay and list(x.flat.items()) == list(replay.flat.items())
+    assert rng.getstate() == replay_rng.getstate()
 
 
 def test_run_suite_determinism():
