@@ -13,10 +13,11 @@ cocycle on first use: the straight-line kernel (a, b) -> (a+b, phi(a,b)),
 whose text is ``kernel_source``, and, when the left factor is one term, the
 row function (a, e, keys) -> [(a+b, e+f+phi(a,b)) for (b, f) in keys], which
 works out c = a^T Phi once, so that phi(a, b) = c . b, and whose text is
-``row_source``.  A sum that cancels is dropped where its key merges: a sum,
-a scaling and a structure map run the one merge ``_merge_into``, and the
-general product writes the same merge out in its loop.  Sorted keys (a, e)
-give the canonical rendering order.
+``row_source``.  Rendering runs a third, generated from the generator names:
+``monomial_text``, whose text is ``monomial_source``.  A sum that cancels is
+dropped where its key merges: a sum, a scaling and a structure map run the one
+merge ``_merge_into``, and the general product writes the same merge out in its
+loop.  Sorted keys (a, e) give the canonical rendering order.
 
 The scalars are the elements of the rank-0 algebra ``POINT`` (d = 0, not in
 ``ALGEBRAS``), each a :class:`PhaseScalar`.  A scalar acts on every algebra
@@ -43,7 +44,7 @@ from itertools import groupby
 from math import fsum, gcd
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 __all__ = [
     "GaussianRational",
@@ -244,10 +245,11 @@ def _merge_into(out: dict, pairs) -> dict:
 
 
 _GR_ONE = GaussianRational(1)
+_INT = frozenset((int,))
 _NUMBERS = (int, Fraction, GaussianRational)
-# theta: {e: s**e for |e| <= 256}, for at most eight thetas, all dropped when a ninth comes; a
-# race between threads at worst builds a table twice.  -0.0 and 0.0 share a table: their powers
-# differ at most in the sign of a zero, which the 0j + of ``eval_numeric`` removes.
+# theta: {e: s**e for |e| <= 256}, for at most eight thetas (never a NaN, equal to no other), all
+# dropped when a ninth comes; a race between threads at worst builds a table twice.  -0.0 and 0.0
+# share a table: their powers differ at most in a zero's sign, which eval_numeric's 0j + removes.
 _S_POWERS: dict[float, dict[int, complex]] = {}
 
 
@@ -288,10 +290,8 @@ def _term_text(e: int, c: GaussianRational) -> str:
     if e == 0:
         return str(c)
     power = f"q^({e // 2})" if e % 2 == 0 else f"q^({e}/2)"
-    if c == 1:
-        return power
-    if c == -1:
-        return f"-{power}"
+    if c._d == 1 and not c._b and c._a in (1, -1):
+        return power if c._a == 1 else f"-{power}"
     return f"{c}*{power}"
 
 
@@ -363,13 +363,20 @@ class AlgebraDescriptor:
         """s-exponent picked up by delta^a * delta^b."""
         return self._kernel(a, b)[1]
 
-    def monomial_text(self, idx: MultiIndex) -> str:
-        """Generator powers of delta^idx, e.g. "U^2 V"; empty for the unit."""
-        return " ".join(
-            name if k == 1 else f"{name}^{k}"
-            for name, k in zip(self.generator_names, idx)
-            if k
-        )
+    @cached_property
+    def monomial_source(self) -> str:
+        """Python source of ``monomial(a)``, the generator powers of delta^a: " name" or
+        " name^k" for each nonzero entry k, joined, with the first space cut."""
+        powers = "".join(f"        '' if not a{i} else {' ' + n!r} if a{i} == 1 else {f' {n}^'!r}"
+                         f" + str(a{i}),\n" for i, n in enumerate(self.generator_names))
+        a = _tuple_text([f"a{i}" for i in range(self.d)])
+        return f"def monomial(a):\n    {a} = a\n    return ''.join((\n{powers}    ))[1:]\n"
+
+    @cached_property
+    def monomial_text(self) -> Callable[[MultiIndex], str]:
+        """idx -> the generator powers of delta^idx, e.g. "U^2 V", "" for the unit; compiled
+        from ``monomial_source`` on first use."""
+        return _compile_kernel(self.monomial_source, "monomial")
 
     def check_index(self, idx: MultiIndex) -> MultiIndex:
         idx = tuple(idx)
@@ -377,7 +384,7 @@ class AlgebraDescriptor:
             raise ValueError(
                 f"index length {len(idx)} does not match algebra {self.name!r} (d={self.d})"
             )
-        if not all(type(k) is int for k in idx):  # bool is an int, but no index entry
+        if not _INT.issuperset(map(type, idx)):  # bool is an int, but no index entry
             raise TypeError(f"index entries must be integers: {idx!r}")
         return idx
 
@@ -570,9 +577,10 @@ class AlgebraElement:
         powers = _S_POWERS.get(theta)
         if powers is None:  # s has period 2 in theta; the reduction is exact, pi*theta finite
             base = cmath.exp(1j * math.pi * math.fmod(theta, 2.0))
-            if len(_S_POWERS) >= 8:
-                _S_POWERS.clear()
-            powers = _S_POWERS[theta] = {e: base**e for e in range(-256, 257)}
+            kept = _S_POWERS if theta == theta else {}  # a NaN's table is not kept
+            if len(kept) >= 8:
+                kept.clear()
+            powers = kept[theta] = {e: base**e for e in range(-256, 257)}
         out: dict[MultiIndex, complex] = {}
         several: dict[MultiIndex, list[complex]] | None = None  # each repeated index's terms
         try:
@@ -604,7 +612,7 @@ class AlgebraElement:
         parts = []
         for a, group in _sorted_by_index(self._terms):
             scalar = [_term_text(e, c) for (_, e), c in group]
-            ctxt = join_signed(scalar)
+            ctxt = scalar[0] if len(scalar) == 1 else join_signed(scalar)
             gens = monomial_text(a)
             if not gens:
                 parts.append(ctxt)

@@ -17,7 +17,7 @@ one ``finditer`` scan of one cached pattern per generator set, and the
 recursive-descent parser behind both :func:`parse_phase` (scalars alone) and
 ``qtorus.cli.parse_expression`` (elements of a named algebra, whose generators
 and product kernel it uses).  A term folds its one-term factors into one flat
-term through that kernel, and a sum adds its terms in one merge.
+term through that kernel, building no element, and a sum merges its terms once.
 
 All values are immutable and all operations are pure functions, so they may
 be shared freely between threads.
@@ -131,45 +131,49 @@ class _Parser:
         factor := gen [^ int] | rational | i | q [^ q-exp] | ( expr )
 
     A term folds its factors of one flat term into one flat term through the
-    algebra's product kernel; only a parenthesized sum of several flat terms is
-    multiplied as an element.  Products are left-associative, and a term without
-    a generator is a PhaseScalar.  ``algebra`` (an AlgebraDescriptor, ``POINT`` for
-    scalars alone) supplies the generators and the kernel, and holds the value of
-    the whole expression.  ``end``, the text's length, is the position of the
-    closing "end" token, where an error at the end of the input is reported.
+    algebra's product kernel and builds no element; only a parenthesized sum of
+    several flat terms is an element, multiplied in order.  Products are left-
+    associative.  ``algebra`` (an AlgebraDescriptor, ``POINT`` for scalars alone)
+    supplies the generators and the kernel, and holds the value of the whole
+    expression.  ``end``, the text's length, is the position of the closing "end"
+    token, where an error at the end of the input is reported.
     """
 
     def __init__(self, tokens: list[Token], end: int, algebra=POINT):
         self.tokens = [*tokens, ("end", None, end)]
         self.algebra, self.i, self.depth = algebra, 0, 0
 
-    def expr(self):
-        """A sum: its terms are merged into one dict, each term once, in the parser's
-        algebra, a scalar term at the zero index.  A parenthesized sum of scalars alone
-        stays a PhaseScalar, so that it scales the term it stands in."""
-        terms = []
+    def expr(self) -> tuple:
+        """A sum, as (its algebra, its flat terms), building no element: each term's flat triple,
+        or its element's flat terms, go into one merge, a scalar term at the zero index of an
+        element sum.  A parenthesized sum of scalars alone stays in ``POINT`` to scale its term."""
+        pairs, element, (kind, op, _) = [], not self.depth, self.tokens[self.i]
         while True:
-            kind, op, _ = self.tokens[self.i]
             if kind == "op" and op in "+-":  # a sign, optional before the first term
                 self.i += 1
-            elif terms:
-                break
-            terms.append(self.term(_MINUS_ONE if (kind, op) == ("op", "-") else _GR_ONE))
-        algebra = self.algebra if not self.depth or AlgebraElement in map(type, terms) else POINT
-        zero = (0,) * algebra.d
-        pairs = (pair for t in terms for pair in t._terms.items())
-        if zero:  # an element sum: a scalar term's index () goes to the zero index
-            pairs = (((a or zero, e), c) for (a, e), c in pairs)
-        return AlgebraElement._raw(algebra, _merge_into({}, pairs))
+            term = self.term(_MINUS_ONE if (kind, op) == ("op", "-") else _GR_ONE)
+            flat = type(term) is tuple
+            element = element or (term[0] != () if flat else type(term) is AlgebraElement)
+            if not flat:
+                pairs += term._terms.items()
+            elif term[2]:  # a zero coefficient adds nothing
+                pairs.append(((term[0], term[1]), term[2]))
+            kind, op, _ = self.tokens[self.i]
+            if kind != "op" or op not in "+-":
+                zero = (0,) * self.algebra.d if element else ()  # an element sum's scalar index
+                pairs = (((a or zero, e), c) for (a, e), c in pairs) if zero else pairs
+                return self.algebra if element else POINT, _merge_into({}, pairs)
 
     def term(self, c: GaussianRational):
-        """The product of the factors times the sign ``c``.  A factor's flat term (b, f, d)
-        folds into (a, e, c), a being (), as in ``POINT``, while the term is a scalar; before
-        a sum of several flat terms, and at the end, the fold multiplies ``value`` and restarts."""
-        tokens, a, e, value = self.tokens, (), 0, ONE  # ONE: nothing multiplied yet
+        """The product of the factors times the sign ``c``: its flat triple (index, s-exponent,
+        coefficient), building no element, when every factor folds, else an element.  A factor's
+        flat term (b, f, d) folds into (a, e, c), a being () while the term is a scalar; before a
+        sum of several flat terms, and at the end, the fold multiplies ``value`` and restarts."""
+        tokens, a, e, value = self.tokens, (), 0, None  # None: nothing multiplied yet
         while True:
             factor = self.factor()
-            if type(factor) is tuple:
+            flat = type(factor) is tuple
+            if flat:
                 b, f, d = factor  # delta^a delta^b is s**g delta^(a + b); () is a scalar's index
                 a, g = (a, 0) if not b else (b, 0) if not a else self.algebra._kernel(a, b)
                 e += f + g
@@ -178,13 +182,15 @@ class _Parser:
             if kind == "op" and op == "*":
                 self.i += 1
             last = kind == "end" or (kind == "op" and op not in "(*")  # no factor follows
-            if last or type(factor) is not tuple:
+            if last and value is None and flat:
+                return a, e, c
+            if last or not flat:
                 if a or e or c is not _GR_ONE:  # the fold is not 1
                     fold = AlgebraElement._raw(self.algebra if a else POINT,
                                                {(a, e): c} if c else {})
-                    value, a, e, c = fold if value is ONE else value * fold, (), 0, _GR_ONE
-                if type(factor) is not tuple:
-                    value = factor if value is ONE else value * factor
+                    value, a, e, c = fold if value is None else value * fold, (), 0, _GR_ONE
+                if not flat:
+                    value = factor if value is None else value * factor
                 if last:
                     return value
 
@@ -194,7 +200,8 @@ class _Parser:
         kind, value, pos = self.tokens[self.i]
         self.i += 1
         if kind == "num":
-            return (), 0, _reduced(value.numerator, 0, value.denominator)
+            n, d = value.as_integer_ratio()
+            return (), 0, _reduced(n, 0, d)
         if kind == "name":
             if value == "i":
                 return (), 0, _I
@@ -214,14 +221,14 @@ class _Parser:
             if self.depth == MAX_NESTING:
                 raise ParseError("expression nested too deeply", pos)
             self.depth += 1
-            inner = self.expr()
+            algebra, terms = self.expr()
             self.depth -= 1
             if self.tokens[self.i][:2] != ("op", ")"):
                 raise ParseError("expected ')'", self.tokens[self.i][2])
             self.i += 1
-            if len(inner._terms) != 1:
-                return inner
-            ((b, f), d), = inner._terms.items()
+            if len(terms) != 1:
+                return AlgebraElement._raw(algebra, terms)
+            ((b, f), d), = terms.items()
             return b, f, d
         raise ParseError("expected an expression" if kind == "end" else f"unexpected {value!r}",
                          pos)
@@ -229,24 +236,24 @@ class _Parser:
     def _exponent(self, units: int) -> int:
         """A signed exponent, perhaps in parentheses, times ``units`` (1 for a generator,
         2 for q, in s-exponent units); the result must be an integer."""
-        tokens, sign = self.tokens, 1
-        parens = tokens[self.i][:2] == ("op", "(")
-        self.i += parens
-        if tokens[self.i][:2] in (("op", "+"), ("op", "-")):
-            sign = -1 if tokens[self.i][1] == "-" else 1
-            self.i += 1
-        kind, value, pos = tokens[self.i]
+        tokens, i = self.tokens, self.i
+        parens = tokens[i][:2] == ("op", "(")
+        i += parens
+        kind, value, pos = tokens[i]
+        sign = -1 if kind == "op" and value == "-" else 1
+        if kind == "op" and value in "+-":
+            i += 1
+            kind, value, pos = tokens[i]
         if kind != "num":
             raise ParseError("expected an exponent", pos)
-        power, rest = divmod(sign * units * value.numerator, value.denominator)
+        n, d = value.as_integer_ratio()
+        power, rest = divmod(sign * units * n, d)
         if rest:
             raise ParseError("q exponent must be a multiple of 1/2" if units == 2 else
                              "generator exponent must be an integer", pos)
-        self.i += 1
-        if parens:
-            if tokens[self.i][:2] != ("op", ")"):
-                raise ParseError("expected ')'", tokens[self.i][2])
-            self.i += 1
+        self.i = i = i + 1 + parens
+        if parens and tokens[i - 1][:2] != ("op", ")"):
+            raise ParseError("expected ')'", tokens[i - 1][2])
         return power
 
 
@@ -254,10 +261,10 @@ def parse_tokens(tokens: list[Token], end: int, algebra=POINT):
     """Parse a whole token list into an element of ``algebra``, a PhaseScalar
     for ``POINT``.  ``end`` is the length of the text the tokens came from."""
     parser = _Parser(tokens, end, algebra)
-    value = parser.expr()
+    _, terms = parser.expr()
     if parser.i != len(tokens):
         raise ParseError("unexpected trailing input", tokens[parser.i][2])
-    return value
+    return AlgebraElement._raw(algebra, terms)
 
 
 def parse_phase(text: str) -> PhaseScalar:

@@ -135,6 +135,44 @@ def test_p2_kernel_source_is_pinned():
     )
 
 
+def test_p2_monomial_source_is_pinned():
+    assert P2.monomial_source == (
+        "def monomial(a):\n"
+        "    (a0, a1, a2, a3) = a\n"
+        "    return ''.join((\n"
+        "        '' if not a0 else ' U1' if a0 == 1 else ' U1^' + str(a0),\n"
+        "        '' if not a1 else ' V1' if a1 == 1 else ' V1^' + str(a1),\n"
+        "        '' if not a2 else ' U2' if a2 == 1 else ' U2^' + str(a2),\n"
+        "        '' if not a3 else ' V2' if a3 == 1 else ' V2^' + str(a3),\n"
+        "    ))[1:]\n"
+    )
+
+
+def _joined_powers(algebra, idx):
+    """The generator powers of delta^idx, joined by a generator expression over the names."""
+    return " ".join(n if k == 1 else f"{n}^{k}" for n, k in zip(algebra.generator_names, idx) if k)
+
+
+@pytest.mark.parametrize("algebra", [CIRCLE, TORUS, P2], ids=lambda a: a.name)
+def test_the_generated_monomial_text_is_the_joined_generator_powers(algebra):
+    for idx in itertools.product(range(-3, 4), repeat=algebra.d):
+        assert algebra.monomial_text(idx) == _joined_powers(algebra, idx), idx
+
+
+def test_the_generated_monomial_text_of_p3_and_of_the_point():
+    rng = random.Random(26)
+    for _ in range(3000):
+        idx = tuple(rng.choice((0, 1, -1, 7, -7)) for _ in range(6))
+        assert P3.monomial_text(idx) == _joined_powers(P3, idx), idx
+    assert POINT.monomial_text(()) == ""
+
+
+def test_the_generated_monomial_text_writes_any_generator_name_as_it_is():
+    odd = AlgebraDescriptor("odd", ("x'", 'y"', "z{0}", "\\w", "\u00e9"), ((0,) * 5,) * 5)
+    for idx in itertools.product((0, 1, -2), repeat=5):
+        assert odd.monomial_text(idx) == _joined_powers(odd, idx), idx
+
+
 def test_traced_entry_points_stay_on_their_classes():
     # the benchmark's traced mode wraps these two class attributes by name
     assert "phase_exponent" in AlgebraDescriptor.__dict__
@@ -416,6 +454,26 @@ def test_each_value_is_bit_for_bit_its_direct_evaluation():
             assert [(z.real.hex(), z.imag.hex()) for z in _S_POWERS[theta].values()] == [
                 ((base**e).real.hex(), (base**e).imag.hex()) for e in range(-256, 257)
             ]
+
+
+def test_a_nan_theta_keeps_no_table_and_leaves_the_kept_ones():
+    """A NaN equals no other NaN, so a table kept for one would never be read again: nine
+    fresh NaNs leave the probes' tables in place.  The values are those a NaN's table has
+    always given; a term at s-exponent 0 keeps its coefficient, as (nan+nanj)**0 is 1."""
+    x = AlgebraElement.from_records(TORUS, [
+        [[0, 0], [[0, 2, 3, -5, 7]]], [[1, 0], [[1, 1, 1, 0, 1]]],
+        [[0, 1], [[-257, 1, 1, 0, 1], [0, 1, 2, 1, 1]]], [[0, -1], [[300, 1, 1, 0, 1]]],
+    ])
+    _S_POWERS.clear()
+    for theta in THETA_PROBES:
+        x.eval_numeric(theta)
+    for _ in range(9):
+        got = x.eval_numeric(float("nan"))
+        assert {a: (z.real.hex(), z.imag.hex()) for a, z in got.items()} == {
+            (0, 0): ("0x1.5555555555555p-1", "-0x1.6db6db6db6db7p-1"),
+            (1, 0): ("nan", "nan"), (0, 1): ("nan", "nan"), (0, -1): ("nan", "nan"),
+        }
+    assert sorted(_S_POWERS) == sorted(THETA_PROBES)
 
 
 def test_the_table_of_powers_of_s_stays_bounded():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtorus.algebra import CIRCLE, P2, TORUS, AlgebraElement, _merge_into
+from qtorus.algebra import CIRCLE, P2, POINT, TORUS, AlgebraElement, _merge_into
 from qtorus.cli import parse_expression
 from qtorus.phases import (
     MAX_NESTING,
@@ -446,6 +446,22 @@ def test_a_canonical_rendering_is_parsed_without_element_products(monkeypatch):
     assert len(x.flat) == 20 and parse_expression(TORUS, x.render()) == x
     # one scalar product per coefficient of two s-powers: (c1 + c2) * U^m V^n
     assert calls == {"element": 0, "scalar": 4}
+
+
+def test_a_canonical_rendering_builds_an_element_only_for_a_sum_of_several_terms(monkeypatch):
+    """A term of one flat term builds no element.  Each of the four coefficients of two
+    s-powers builds three: its parenthesized sum, the fold U^m V^n it scales and their
+    product; the whole sum builds one more.  One element per term and per sum makes 75."""
+    x = _sixteen_term_torus_element()
+    text, built, raw = x.render(), [], AlgebraElement._raw
+
+    def counting(algebra, terms):
+        built.append(algebra)
+        return raw(algebra, terms)
+
+    monkeypatch.setattr(AlgebraElement, "_raw", staticmethod(counting))
+    assert parse_expression(TORUS, text) == x
+    assert built == [POINT, TORUS, TORUS] * 4 + [TORUS]
 
 
 def _atom(algebra):

@@ -39,6 +39,23 @@ def test_a_descriptor_round_trips_before_and_after_use(algebra):
     assert _round_trip(fresh) is not algebra
 
 
+@pytest.mark.parametrize("algebra", DESCRIPTORS, ids=lambda a: a.name)
+def test_a_descriptor_pickles_equals_and_hashes_the_same_once_its_monomial_text_is_compiled(
+        algebra):
+    fresh = AlgebraDescriptor(algebra.name, algebra.generator_names, algebra.cocycle)
+    assert "monomial_text" not in fresh.__dict__
+    before = pickle.dumps(fresh), hash(fresh)
+    ones = (1,) * algebra.d
+    assert fresh.monomial_text(ones) == algebra.monomial_text(ones)
+    assert "monomial_text" in fresh.__dict__
+    assert (pickle.dumps(fresh), hash(fresh)) == before
+    copy = _round_trip(fresh)
+    assert copy == fresh == algebra and hash(copy) == hash(algebra)
+    assert "monomial_text" not in copy.__dict__
+    assert copy.monomial_text(ones) == fresh.monomial_text(ones)
+    assert _round_trip(algebra) is algebra
+
+
 def test_an_unnamed_descriptor_round_trips_to_an_equal_one():
     P2_FORMULA_VARIANT.phase_exponent((1, 0, 1, 0), (0, 1, 0, 1))
     copy = _round_trip(P2_FORMULA_VARIANT)

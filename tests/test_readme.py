@@ -1,5 +1,5 @@
 """The README quick start runs, each value prints as its comment says, and the
-p2 kernels the README shows are the ones that run."""
+p2 kernels and monomial writer the README shows are the ones that run."""
 
 import os
 import re
@@ -38,3 +38,9 @@ def test_the_p2_kernel_shown_is_the_one_that_runs():
         text = f.read()
     assert f"```python\n{P2.kernel_source}```" in text
     assert f"```python\n{P2.row_source}```" in text
+
+
+def test_the_p2_monomial_writer_shown_is_the_one_that_runs():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        text = f.read()
+    assert f"```python\n{P2.monomial_source}```" in text
