@@ -8,12 +8,11 @@ from the swap matrix of the algebra's relation rows (``RELATION_ROWS``, read
 at call time).  Those are exactly the adjacent swaps of a stable sort, so the
 sum is the sort's phase.  The pass runs a straight-line kernel made from that
 matrix (``order_kernel_source``), rebuilt whenever the rows are another object.
-It folds a prefix once and continues each suffix from the state the prefix
-left (:func:`normal_order_rows`), or runs a nested loop over a box of words that
-folds a letter once per shared prefix and gives the product's flat keys
-(:func:`normal_order_box`).  Nothing here reads a cocycle matrix, so
-agreement between :func:`normal_order` and ``AlgebraElement.__mul__`` is a
-genuine cross-check.
+It folds one word (:func:`normal_order_exponent`), or runs a nested loop over
+a box of words that folds a letter once per shared prefix and gives the
+product's flat keys (:func:`normal_order_box`).  Nothing here reads a cocycle
+matrix, so agreement between :func:`normal_order` and ``AlgebraElement.__mul__``
+is a genuine cross-check.
 
 Every relation is a pure q-commutation g_i g_j = s**e g_j g_i, so swap phases
 compose multiplicatively and the result does not depend on the sorting
@@ -38,7 +37,6 @@ __all__ = [
     "word_of_index",
     "normal_order",
     "normal_order_exponent",
-    "normal_order_rows",
     "normal_order_box",
     "order_kernel_source",
 ]
@@ -130,36 +128,31 @@ def order_kernel_source(m: Sequence[Sequence[int]]) -> str:
     """Python source of ``kernel`` and ``box`` for the swap matrix ``m``, g_a g_b = s**m[a][b]
     g_b g_a.  Each folds ``prefix`` once: a letter takes the branch of its position b, adding
     m[a][b] per move past a later position a; KeyError for a position not an int in range.
-    ``kernel(prefix, suffixes)`` gives ``(s-exponent, index)`` of ``prefix + suffix`` per suffix;
+    ``kernel(prefix)`` gives ``(s-exponent, index)`` of the word ``prefix``;
     ``box(prefix, letters)`` the flat key ``(index, s-exponent)`` of ``prefix + b``'s word per b
     in ``letters``^d, lexicographic: a nested loop per position b, whose ascending letters
     each move past the prefix's later positions only, adding r * k_b (0 is no letter)."""
     d = len(m)
     powers = [f"p{b}" for b in range(d)]
     moves = [" + ".join(f"{m[a][b]}*p{a}" for a in range(b + 1, d) if m[a][b]) for b in range(d)]
-    state = ", ".join(["e", *powers])
-    letter = ["if type(b) is not int and not isinstance(b, int):", "    raise KeyError(b)"]
+    fold = (f"    {' = '.join([*powers, 'e'])} = 0\n"
+            "    for b, r in prefix:\n"
+            "        if type(b) is not int and not isinstance(b, int):\n"
+            "            raise KeyError(b)\n")
     for b in range(d):
-        letter.append(f"{'elif' if b else 'if'} b == {b}:")
+        fold += f"        {'elif' if b else 'if'} b == {b}:\n"
         if moves[b]:
-            letter.append(f"    e += ({moves[b]})*r")
-        letter.append(f"    p{b} += r")
-    letter += ["else:", "    raise KeyError(b)"]
-
-    def fold(seq: str, indent: str) -> str:
-        return f"{indent}for b, r in {seq}:\n" + "".join(f"{indent}    {x}\n" for x in letter)
-
-    start = f"    {' = '.join([*powers, 'e'])} = 0\n{fold('prefix', '    ')}"
+            fold += f"            e += ({moves[b]})*r\n"
+        fold += f"            p{b} += r\n"
+    fold += "        else:\n            raise KeyError(b)\n"
     box, e = "".join(f"    k{b} = {k}\n" for b, k in enumerate(moves) if k) + "    out = []\n", "e"
     for b in range(d):
         pad = "    " * (b + 1)
         box += f"{pad}for r{b} in letters:\n{pad}    q{b} = p{b} + r{b}\n"
         if moves[b]:
             box, e = box + f"{pad}    e{b} = {e} + k{b}*r{b}\n", f"e{b}"
-    return (f"def kernel(prefix, suffixes):\n{start}    start = {state}\n    out = []\n"
-            f"    for suffix in suffixes:\n        {state} = start\n{fold('suffix', '        ')}"
-            f"        out.append((e, {_tuple_text(powers)}))\n    return out\n\n"
-            f"def box(prefix, letters):\n{start}{box}{'    ' * (d + 1)}"
+    return (f"def kernel(prefix):\n{fold}    return e, {_tuple_text(powers)}\n\n"
+            f"def box(prefix, letters):\n{fold}{box}{'    ' * (d + 1)}"
             f"out.append(({_tuple_text([f'q{b}' for b in range(d)])}, {e}))\n    return out\n")
 
 
@@ -206,48 +199,15 @@ def word_of_index(algebra: AlgebraDescriptor, idx: MultiIndex) -> Word:
     return Word(algebra, letters)
 
 
-def normal_order_rows(
-    algebra: AlgebraDescriptor,
-    prefix: Iterable[tuple[int, int]],
-    suffixes: Sequence[Iterable[tuple[int, int]]],
-) -> list[tuple[int, MultiIndex]]:
-    """(s-exponent, index) of the word ``prefix + suffix``, for each suffix in order.
-
-    The algebra's order kernel makes one pass with running power sums: a
-    letter (b, r) adds ``r * sum(m[a][b] * powers[a] for a > b)``, with ``m``
-    the swap matrix and ``powers[a]`` the total power of the earlier letters
-    at a, and then ``powers[b] += r``.  That is the phase of a stable sort: the
-    letter moves left past each earlier letter (a, p) with a > b exactly once,
-    the adjacent swap g_a^p g_b^r -> g_b^r g_a^p contributing ``m[a][b] * p * r``,
-    and equal positions never swap.  The pass over the prefix is made once, and
-    each suffix continues from the powers and phase it left.  Inverses are
-    negative powers; like generators merge by adding their powers.  A position
-    outside the algebra, or an algebra without relation rows, raises ``ValueError``.
-    A word that is neither a list nor a tuple is copied into a tuple first, so that
-    a one-shot iterator can be read again to find a bad position.
-    """
+def _fold(algebra: AlgebraDescriptor, slot: int, prefix: Iterable[tuple[int, int]], *args):
+    """``_oracle(algebra)[slot](prefix, *args)``, a bad position in ``prefix`` raising ValueError.
+    A word that is neither a list nor a tuple is copied into a tuple first, so that a one-shot
+    iterator can be read again to find the bad position."""
     prefix = prefix if isinstance(prefix, (list, tuple)) else tuple(prefix)
-    suffixes = [s if isinstance(s, (list, tuple)) else tuple(s) for s in suffixes]
     try:
-        return _oracle(algebra)[2](prefix, suffixes)
+        return _oracle(algebra)[slot](prefix, *args)
     except (KeyError, TypeError):
         # with every position good (a None power, say) the original error stands
-        _check_positions(algebra, (p for seq in (prefix, *suffixes) for p, _ in seq))
-        raise
-
-
-def normal_order_box(algebra: AlgebraDescriptor, prefix: Sequence[tuple[int, int]],
-                     bound: int) -> list[tuple[MultiIndex, int]]:
-    """Flat keys ``(index, s-exponent)`` of ``prefix + word(b)``, word(b) the normal-ordered
-    word of each b in ``[-bound, bound]^d`` in lexicographic order: the box kernel of
-    :func:`order_kernel_source` folds the prefix once.  Errors as :func:`normal_order_rows`."""
-    if not isinstance(bound, int) or isinstance(bound, bool):
-        raise TypeError(f"box bound must be an int, got {bound!r}")
-    if bound < 0:
-        raise ValueError(f"box bound must be at least 0, got {bound}")
-    try:
-        return _oracle(algebra)[3](prefix, range(-bound, bound + 1))
-    except (KeyError, TypeError):
         _check_positions(algebra, (p for p, _ in prefix))
         raise
 
@@ -255,9 +215,33 @@ def normal_order_box(algebra: AlgebraDescriptor, prefix: Sequence[tuple[int, int
 def normal_order_exponent(
     algebra: AlgebraDescriptor, seq: Iterable[tuple[int, int]]
 ) -> tuple[int, MultiIndex]:
-    """(s-exponent, index) of one word of raw (position, power) pairs: the
-    case of :func:`normal_order_rows` with ``seq`` as the prefix and one empty suffix."""
-    return normal_order_rows(algebra, seq, ((),))[0]
+    """(s-exponent, index) of one word of raw (position, power) pairs.
+
+    The algebra's order kernel makes one pass with running power sums: a
+    letter (b, r) adds ``r * sum(m[a][b] * powers[a] for a > b)``, with ``m``
+    the swap matrix and ``powers[a]`` the total power of the earlier letters
+    at a, and then ``powers[b] += r``.  That is the phase of a stable sort: the
+    letter moves left past each earlier letter (a, p) with a > b exactly once,
+    the adjacent swap g_a^p g_b^r -> g_b^r g_a^p contributing ``m[a][b] * p * r``,
+    and equal positions never swap.  Inverses are negative powers; like
+    generators merge by adding their powers.  A position outside the algebra,
+    or an algebra without relation rows, raises ``ValueError``.  A word that is
+    neither a list nor a tuple is copied into a tuple first, so that a one-shot
+    iterator can be read again to find a bad position.
+    """
+    return _fold(algebra, 2, seq)
+
+
+def normal_order_box(algebra: AlgebraDescriptor, prefix: Iterable[tuple[int, int]],
+                     bound: int) -> list[tuple[MultiIndex, int]]:
+    """Flat keys ``(index, s-exponent)`` of ``prefix + word(b)``, word(b) the normal-ordered
+    word of each b in ``[-bound, bound]^d`` in lexicographic order: the box kernel of
+    :func:`order_kernel_source` folds the prefix once.  Errors as :func:`normal_order_exponent`."""
+    if not isinstance(bound, int) or isinstance(bound, bool):
+        raise TypeError(f"box bound must be an int, got {bound!r}")
+    if bound < 0:
+        raise ValueError(f"box bound must be at least 0, got {bound}")
+    return _fold(algebra, 3, prefix, range(-bound, bound + 1))
 
 
 def normal_order(word: Word) -> tuple[PhaseScalar, MultiIndex]:

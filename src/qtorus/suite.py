@@ -43,8 +43,7 @@ from .algebra import (
     AlgebraElement,
     MultiIndex,
 )
-from .rewrite import (RELATION_ROWS, normal_order_box, normal_order_exponent, normal_order_rows,
-                      swap_exponent)
+from .rewrite import RELATION_ROWS, normal_order_box, normal_order_exponent, swap_exponent
 from .maps import (
     GENERATOR_IMAGES,
     MAPS,
@@ -463,7 +462,7 @@ def _p2_discrepancy(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcome]:
 
     This check passes by *confirming* the discrepancy on (U2, V2) and by
     confirming that the implemented bilinear form matches the rewriting oracle
-    on every pair of the box [-1,1]^4, one kernel pass per row (left index a).
+    on every pair of the box [-1,1]^4, one box pass per row (left index a).
     """
     u2, v2 = (0, 0, 1, 0), (0, 0, 0, 1)
     variant_exp = P2_FORMULA_VARIANT.phase_exponent(u2, v2)
@@ -479,9 +478,9 @@ def _p2_discrepancy(cfg: TrialConfig, rng: random.Random) -> Iterator[Outcome]:
         and "implemented cocycle disagrees with the relations on (U2, V2)",
     )))
     box = _box(1, 4)
-    words = [tuple((p, k) for p, k in enumerate(b) if k) for b in box]
-    for a, word in zip(box, words):
-        for b, (e, idx) in zip(box, normal_order_rows(P2, word, words)):
+    for a in box:
+        word = [(p, k) for p, k in enumerate(a) if k]
+        for b, (idx, e) in zip(box, normal_order_box(P2, word, 1)):
             agree = e == P2.phase_exponent(a, b) and idx == tuple(x + y for x, y in zip(a, b))
             yield None if agree else f"corrected cocycle disagrees with rewriting on {a}x{b}"
 

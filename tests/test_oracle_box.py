@@ -1,11 +1,11 @@
 """The oracle's box fold: the flat keys of every word ``prefix + word(b)`` over a box.
 
 ``normal_order_box`` folds each prefix letter once and each box letter once per
-prefix of the box that the words share.  It must give exactly the rows of the
-general fold ``normal_order_rows`` over the box's words, in the layout of
-``AlgebraElement.flat``, for the live relation rows and for a mutated swap
-matrix, and it must read the relation rows at call time like the rest of the
-oracle.
+prefix of the box that the words share.  It must give exactly what a full fold
+of each word ``prefix + word(b)`` gives, ``normal_order_exponent`` with no
+shared prefix state, in the layout of ``AlgebraElement.flat``, for the live
+relation rows and for a mutated swap matrix, and it must read the relation rows
+at call time like the rest of the oracle.
 """
 
 import itertools
@@ -19,7 +19,7 @@ from qtorus.phases import ONE
 from qtorus.rewrite import (
     RELATION_ROWS,
     normal_order_box,
-    normal_order_rows,
+    normal_order_exponent,
     order_kernel_source,
     swap_exponent,
 )
@@ -34,7 +34,7 @@ def _box_words(d, bound):
 
 
 def _general(algebra, prefix, words):
-    return [(idx, e) for e, idx in normal_order_rows(algebra, prefix, words)]
+    return [(idx, e) for e, idx in (normal_order_exponent(algebra, prefix + w) for w in words)]
 
 
 @pytest.mark.parametrize("algebra, bound", [(TORUS, 2), (P2, 2), (CIRCLE, 3)],
@@ -75,7 +75,8 @@ def test_the_box_function_of_a_mutated_swap_matrix_equals_its_kernel():
     source = order_kernel_source(m)
     box, kernel = _compile_kernel(source, "box"), _compile_kernel(source)
     for prefix in ([], [(2, 1), (0, -2)], [(2, 2), (1, 1), (2, -1)]):
-        assert box(prefix, range(-1, 2)) == [(idx, e) for e, idx in kernel(prefix, words)]
+        rows = [kernel(prefix + w) for w in words]
+        assert box(prefix, range(-1, 2)) == [(idx, e) for e, idx in rows]
     assert box([(2, 1), (0, -2)], range(-1, 2)) != live
     assert normal_order_box(P2, [(2, 1), (0, -2)], 1) == live
 
@@ -110,11 +111,18 @@ def test_a_planted_relation_row_reaches_the_rows_of_the_oracle(monkeypatch):
 def test_a_bad_prefix_position_is_named_as_by_the_general_fold():
     with pytest.raises(ValueError, match="position 2 out of range for 'torus'") as box:
         normal_order_box(TORUS, [(2, 1)], 2)
-    with pytest.raises(ValueError) as rows:
-        normal_order_rows(TORUS, [(2, 1)], [[]])
-    assert str(box.value) == str(rows.value)
+    with pytest.raises(ValueError) as word:
+        normal_order_exponent(TORUS, [(2, 1)])
+    assert str(box.value) == str(word.value)
     with pytest.raises(TypeError):
         normal_order_box(TORUS, [(0, None)], 2)
+
+
+def test_a_bad_position_in_a_one_shot_prefix_of_the_box_is_a_value_error():
+    # the prefix is read once by the box kernel and again to find the bad position
+    for prefix in (iter([(2, 1)]), ((p, 1) for p in (0, 1, 2))):
+        with pytest.raises(ValueError, match="position 2 out of range for 'torus'"):
+            normal_order_box(TORUS, prefix, 1)
 
 
 @pytest.mark.parametrize("bound, error", [(True, TypeError), (1.0, TypeError), ("2", TypeError),

@@ -16,8 +16,8 @@ from qtorus.rewrite import (
     GeneratorSymbol,
     Word,
     normal_order,
+    normal_order_box,
     normal_order_exponent,
-    normal_order_rows,
     order_kernel_source,
     swap_exponent,
     word_of_index,
@@ -307,38 +307,11 @@ def test_normal_order_matches_adjacent_swap_bubble_sort(case):
     assert seq == before
 
 
-def test_normal_order_rows_are_the_words_prefix_then_suffix():
-    rng = random.Random(13)
-    for algebra in ALGEBRAS.values():
-
-        def word():
-            return [(rng.randrange(algebra.d), rng.choice([-2, -1, 1, 3]))
-                    for _ in range(rng.randint(0, 5))]
-
-        for _ in range(20):
-            prefix, suffixes = word(), [word() for _ in range(rng.randint(0, 5))]
-            assert normal_order_rows(algebra, prefix, suffixes) == [
-                _bubble_sort_exponent(algebra, prefix + suffix) for suffix in suffixes
-            ]
-
-
-def test_normal_order_rows_name_a_bad_position_in_any_suffix():
-    with pytest.raises(ValueError, match="position 2 out of range for 'torus'"):
-        normal_order_rows(TORUS, [(0, 1)], [[(1, 1)], [(0, 1), (2, 1)]])
-    with pytest.raises(TypeError):
-        normal_order_rows(TORUS, [(0, 1)], [[(1, 1)], [(0, None)]])
-
-
 def test_a_bad_position_in_a_one_shot_prefix_is_a_value_error():
     # the word is read once by the kernel and again to find the bad position
     for prefix in (iter([(2, 1)]), ((p, 1) for p in (0, 1, 2))):
         with pytest.raises(ValueError, match="position 2 out of range for 'torus'"):
             normal_order_exponent(TORUS, prefix)
-
-
-def test_a_bad_position_in_a_one_shot_suffix_is_a_value_error():
-    with pytest.raises(ValueError, match="position 6 out of range for 'p3'"):
-        normal_order_rows(P3, [(0, 1)], [[(1, 1)], iter([(5, 1), (6, -1)])])
 
 
 def test_a_good_iterator_gives_the_result_of_its_list():
@@ -350,8 +323,8 @@ def test_a_good_iterator_gives_the_result_of_its_list():
             assert normal_order_exponent(algebra, iter(prefix)) == normal_order_exponent(
                 algebra, prefix
             )
-            assert normal_order_rows(algebra, iter(prefix), [iter(w) for w in words]) == (
-                normal_order_rows(algebra, prefix, words)
+            assert normal_order_box(algebra, iter(prefix), 1) == normal_order_box(
+                algebra, prefix, 1
             )
 
 
@@ -364,7 +337,7 @@ def test_an_algebra_without_relation_rows_is_a_value_error(algebra):
     with pytest.raises(ValueError, match=name):
         normal_order_exponent(algebra, word)
     with pytest.raises(ValueError, match=name):
-        normal_order_rows(algebra, word, [[], word])
+        normal_order_exponent(algebra, [])
     with pytest.raises(ValueError, match=name):
         swap_exponent(algebra, 0, 1)
     with pytest.raises(ValueError, match=name):
@@ -388,13 +361,55 @@ def test_order_kernel_source_of_a_mutated_swap_matrix():
     rows, live_kernel = RELATION_ROWS["p2"], rewrite._oracle(P2)[2]
     m = [[swap_exponent(P2, a, b) for b in range(P2.d)] for a in range(P2.d)]
     words = [[(1, 1), (0, 1)], [(2, 1), (1, 1)]]  # V1 U1 and U2 V1
-    live = normal_order_rows(P2, [], words)
+    live = [normal_order_exponent(P2, word) for word in words]
     assert live == [(-2, (1, 1, 0, 0)), (-1, (0, 1, 1, 0))]
-    assert _compile_kernel(order_kernel_source(m))([], words) == live
+    kernel = _compile_kernel(order_kernel_source(m))
+    assert [kernel(word) for word in words] == live
     # V1 U2 = q^(1/2) U2 V1 becomes V1 U2 = U2 V1: only U2 V1 changes
     m[1][2] -= 1
     m[2][1] += 1
     mutant = _compile_kernel(order_kernel_source(m))
-    assert mutant([], words) == [(-2, (1, 1, 0, 0)), (0, (0, 1, 1, 0))]
-    assert normal_order_rows(P2, [], words) == live
+    assert [mutant(word) for word in words] == [(-2, (1, 1, 0, 0)), (0, (0, 1, 1, 0))]
+    assert [normal_order_exponent(P2, word) for word in words] == live
     assert RELATION_ROWS["p2"] is rows and rewrite._oracle(P2)[2] is live_kernel
+
+
+def test_torus_order_kernel_source_is_pinned():
+    # U V = q V U: a U moving past the earlier V's pays s^(-2) each
+    assert order_kernel_source([[0, 2], [-2, 0]]) == (
+        "def kernel(prefix):\n"
+        "    p0 = p1 = e = 0\n"
+        "    for b, r in prefix:\n"
+        "        if type(b) is not int and not isinstance(b, int):\n"
+        "            raise KeyError(b)\n"
+        "        if b == 0:\n"
+        "            e += (-2*p1)*r\n"
+        "            p0 += r\n"
+        "        elif b == 1:\n"
+        "            p1 += r\n"
+        "        else:\n"
+        "            raise KeyError(b)\n"
+        "    return e, (p0, p1)\n"
+        "\n"
+        "def box(prefix, letters):\n"
+        "    p0 = p1 = e = 0\n"
+        "    for b, r in prefix:\n"
+        "        if type(b) is not int and not isinstance(b, int):\n"
+        "            raise KeyError(b)\n"
+        "        if b == 0:\n"
+        "            e += (-2*p1)*r\n"
+        "            p0 += r\n"
+        "        elif b == 1:\n"
+        "            p1 += r\n"
+        "        else:\n"
+        "            raise KeyError(b)\n"
+        "    k0 = -2*p1\n"
+        "    out = []\n"
+        "    for r0 in letters:\n"
+        "        q0 = p0 + r0\n"
+        "        e0 = e + k0*r0\n"
+        "        for r1 in letters:\n"
+        "            q1 = p1 + r1\n"
+        "            out.append(((q0, q1), e0))\n"
+        "    return out\n"
+    )

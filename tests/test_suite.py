@@ -184,7 +184,7 @@ def test_discrepancy_check_confirms_the_mismatch():
 
 
 def test_discrepancy_check_makes_one_row_pass_per_left_index(monkeypatch):
-    calls = {"rows": 0, "exponent": 0}
+    calls = {"box": 0, "exponent": 0}
 
     def counted(name, f):
         def wrapper(*args):
@@ -193,10 +193,10 @@ def test_discrepancy_check_makes_one_row_pass_per_left_index(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(suite, "normal_order_rows", counted("rows", suite.normal_order_rows))
+    monkeypatch.setattr(suite, "normal_order_box", counted("box", suite.normal_order_box))
     monkeypatch.setattr(suite, "normal_order_exponent",
                         counted("exponent", suite.normal_order_exponent))
     report = run_suite(TrialConfig(seed=1, trials=5), ["p2-formula-vs-relations-discrepancy"])[0]
     assert report.status == "pass" and report.trials == 1 + 81 * 81
     # one pass per left index of [-1,1]^4, and the single (U2, V2) witness word
-    assert calls == {"rows": 81, "exponent": 1}
+    assert calls == {"box": 81, "exponent": 1}
