@@ -24,9 +24,9 @@ The scalars are the elements of the rank-0 algebra ``POINT`` (d = 0, not in
 by :meth:`AlgebraElement.scale`, which adds s-exponents and multiplies
 coefficients; that action is also the product of ``POINT``.  The algebras in
 ``ALGEBRAS``: ``CIRCLE`` (commutative convolution algebra on Z), ``TORUS``
-(U V = q V U), and the deformed tensor square ``P2`` and cube ``P3`` of the
-torus.  Elements are finitely supported; identities extend to infinite sums
-by (bi)linearity.
+(U V = q V U), and its deformed tensor square ``P2`` and cube ``P3``, built by
+one rule (``_power``).  Elements are finitely supported; identities extend to
+infinite sums by (bi)linearity.
 
 Coefficients are ``GaussianRational`` integer triples.  Values are immutable
 and operations pure; everything is safe to share between threads.  A descriptor
@@ -746,13 +746,6 @@ class PhaseScalar(AlgebraElement):
         return f"PhaseScalar({dict(sorted(self.items()))!r})"
 
 
-def _cocycle_matrix(d: int, entries: dict[tuple[int, int], int]) -> tuple[tuple[int, ...], ...]:
-    rows = [[0] * d for _ in range(d)]
-    for (i, j), m in entries.items():
-        rows[i][j] = m
-    return tuple(tuple(row) for row in rows)
-
-
 # Structure constants in s-exponent units.  In each case the only nonzero
 # entries say how a later generator moves past an earlier one.
 
@@ -760,41 +753,36 @@ def _cocycle_matrix(d: int, entries: dict[tuple[int, int], int]) -> tuple[tuple[
 POINT = AlgebraDescriptor("point", (), ())
 
 # Convolution algebra on Z: commutative, no twist.
-CIRCLE = AlgebraDescriptor("circle", ("z",), _cocycle_matrix(1, {}))
+CIRCLE = AlgebraDescriptor("circle", ("z",), ((0,),))
 
 # delta^(m,n) * delta^(k,l) = q^(-k n) delta^(m+k, n+l), so U V = q V U.
-TORUS = AlgebraDescriptor("torus", ("U", "V"), _cocycle_matrix(2, {(1, 0): -2}))
+TORUS = AlgebraDescriptor("torus", ("U", "V"), ((0, 0), (-2, 0)))
 
-# Deformed tensor square: for a = (k1,l1,m1,n1), b = (k2,l2,m2,n2) the
+# How U(k+1) and V(k+1) (rows) move past U(k) and V(k) (columns) in neighbouring factors.
+_CROSS = ((0, -1), (1, 0))
+
+
+def _power(n: int) -> AlgebraDescriptor:
+    """The deformed n-th tensor power ``p{n}`` of the torus, generators U1, V1, U2, ..., Vn:
+    the torus cocycle on each diagonal block, ``_CROSS`` on each block (k+1, k), zero elsewhere.
+    So neighbouring factors obey U(k) V(k+1) = q^(-1/2) V(k+1) U(k) and V(k) U(k+1) = q^(1/2)
+    U(k+1) V(k), and factors further apart commute: with the same twist between every pair of
+    factors, the lifted comultiplications would not be algebra homomorphisms."""
+    blocks = {0: TORUS.cocycle, 1: _CROSS}  # block (k, l) by k - l
+    names = tuple(f"{g}{k}" for k in range(1, n + 1) for g in "UV")
+    cocycle = tuple(tuple(blocks[k - l][i][j] if k - l in blocks else 0
+                          for l in range(n) for j in range(2)) for k in range(n) for i in range(2))
+    return AlgebraDescriptor(f"p{n}", names, cocycle)
+
+
+# Deformed tensor square and cube.  In p2, for a = (k1,l1,m1,n1), b = (k2,l2,m2,n2), the
 # s-exponent is  n1*k2 - 2*l1*k2 - m1*l2 - 2*n1*m2,  the unique bilinear
 # form reproducing the six generator relations
 #   U1 V1 = q V1 U1     U2 V2 = q V2 U2
 #   U1 V2 = q^(-1/2) V2 U1     V1 U2 = q^(1/2) U2 V1
 #   U1 U2 = U2 U1       V1 V2 = V2 V1
-P2 = AlgebraDescriptor(
-    "p2",
-    ("U1", "V1", "U2", "V2"),
-    _cocycle_matrix(4, {(3, 0): 1, (1, 0): -2, (2, 1): -1, (3, 2): -2}),
-)
-
-# Deformed tensor cube: the square's twist between factors (1,2) and (2,3),
-# no twist between factors (1,3).
-P3 = AlgebraDescriptor(
-    "p3",
-    ("U1", "V1", "U2", "V2", "U3", "V3"),
-    _cocycle_matrix(
-        6,
-        {
-            (1, 0): -2,
-            (3, 2): -2,
-            (5, 4): -2,
-            (3, 0): 1,
-            (2, 1): -1,
-            (5, 2): 1,
-            (4, 3): -1,
-        },
-    ),
-)
+P2 = _power(2)
+P3 = _power(3)
 
 ALGEBRAS: dict[str, AlgebraDescriptor] = {
     a.name: a for a in (CIRCLE, TORUS, P2, P3)

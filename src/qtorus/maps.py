@@ -20,7 +20,8 @@ finite support the extension is a finite sum, run by a kernel generated from
 * ``circle_comult``   circle -> torus,  z^n |-> (U V)^n
 * ``embed_left`` / ``embed_right``   torus -> p2, the two canonical copies
 
-The lifted one-factor maps are linear but (apart from the comultiplication
+The lifted one-factor maps, built from ``comult``, ``counit`` and ``antipode``
+by one rule (``_lift``), are linear but (apart from the comultiplication
 lifts) not algebra homomorphisms, because the product on p2 is twisted.
 The circle comultiplication is an algebra homomorphism out of the
 commutative convolution algebra; no counit or antipode fits it, so none is
@@ -125,6 +126,19 @@ class LinearMap:
         return f"LinearMap({self.name!r}: {self.source.name} -> {self.target.name})"
 
 
+def _lift(f: LinearMap, slot: int, name: str) -> LinearMap:
+    """``f`` on factor ``slot`` of p2 and the identity on the other factor, into the power one
+    factor above ``f``'s target; ``f`` maps out of the torus and has no linear part.  Its
+    (A, P) acts on the slot's two columns, each phase position shifted by 2*slot."""
+    blocks = [((1, 0), (0, 1))] * 2  # the identity on each factor but ``slot``
+    blocks[slot] = f.matrix
+    rows = [(0, 0) * k + row + (0, 0) * (1 - k) for k, block in enumerate(blocks) for row in block]
+    shared = {row: row for row in rows}  # equal rows are one tuple, so a pickle holds each once
+    phase = tuple((i + 2 * slot, j + 2 * slot, m) for i, j, m in f.phase)
+    target = (TORUS, P2, P3)[f.target.d // 2]
+    return LinearMap(name, P2, target, tuple(map(shared.get, rows)), phase)
+
+
 # The maps as data.  Source indices are written (k, l) on the torus,
 # (k, l, m, n) on p2 and (n,) on the circle; each comment gives the image
 # s^P delta^(A a).
@@ -136,28 +150,12 @@ counit = LinearMap("epsilon", TORUS, POINT, (), phase=((0, 1, 1),))  # s^(kl)
 antipode = LinearMap("S", TORUS, TORUS, ((-1, 0), (0, -1)))  # (-k, -l)
 # U^k V^l U^m V^n = q^(-l m) U^(k+m) V^(l+n)
 mult_map = LinearMap("mu", P2, TORUS, ((1, 0, 1, 0), (0, 1, 0, 1)), phase=((1, 2, -2),))
-lift_left_comult = LinearMap(  # s^(-kl) (k, l, k, l, m, n)
-    "delta-id", P2, P3,
-    ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
-    phase=((0, 1, -1),),
-)
-lift_right_comult = LinearMap(  # s^(-mn) (k, l, m, n, m, n)
-    "id-delta", P2, P3,
-    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1)),
-    phase=((2, 3, -1),),
-)
-lift_left_counit = LinearMap(  # s^(kl) (m, n)
-    "eps-id", P2, TORUS, ((0, 0, 1, 0), (0, 0, 0, 1)), phase=((0, 1, 1),)
-)
-lift_right_counit = LinearMap(  # s^(mn) (k, l)
-    "id-eps", P2, TORUS, ((1, 0, 0, 0), (0, 1, 0, 0)), phase=((2, 3, 1),)
-)
-lift_left_antipode = LinearMap(  # (-k, -l, m, n)
-    "S-id", P2, P2, ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-)
-lift_right_antipode = LinearMap(  # (k, l, -m, -n)
-    "id-S", P2, P2, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
-)
+lift_left_comult = _lift(comult, 0, "delta-id")  # s^(-kl) (k, l, k, l, m, n)
+lift_right_comult = _lift(comult, 1, "id-delta")  # s^(-mn) (k, l, m, n, m, n)
+lift_left_counit = _lift(counit, 0, "eps-id")  # s^(kl) (m, n)
+lift_right_counit = _lift(counit, 1, "id-eps")  # s^(mn) (k, l)
+lift_left_antipode = _lift(antipode, 0, "S-id")  # (-k, -l, m, n)
+lift_right_antipode = _lift(antipode, 1, "id-S")  # (k, l, -m, -n)
 # (U V)^n = q^(-n(n-1)/2) U^n V^n, valid for every integer n
 circle_comult = LinearMap(  # s^(-n^2 + n) (n, n)
     "circle-delta", CIRCLE, TORUS, ((1,), (1,)), phase=((0, 0, -1),), linear=(1,)

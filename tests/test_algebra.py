@@ -77,6 +77,31 @@ def test_cocycle_shapes():
     assert all(m == 0 for row in CIRCLE.cocycle for m in row)
 
 
+# The deformed square's and cube's cocycles as tables: the reference that the one
+# construction of both must give exactly.
+P2_COCYCLE = (
+    (0, 0, 0, 0),
+    (-2, 0, 0, 0),
+    (0, -1, 0, 0),
+    (1, 0, -2, 0),
+)
+P3_COCYCLE = (
+    (0, 0, 0, 0, 0, 0),
+    (-2, 0, 0, 0, 0, 0),
+    (0, -1, 0, 0, 0, 0),
+    (1, 0, -2, 0, 0, 0),
+    (0, 0, 0, -1, 0, 0),
+    (0, 0, 1, 0, -2, 0),
+)
+
+
+def test_the_tensor_powers_are_their_reference_tables():
+    assert (P2.name, P2.generator_names, P2.cocycle) == ("p2", ("U1", "V1", "U2", "V2"), P2_COCYCLE)
+    assert (P3.name, P3.generator_names, P3.cocycle) == (
+        "p3", ("U1", "V1", "U2", "V2", "U3", "V3"), P3_COCYCLE)
+    assert all(type(m) is int for algebra in (P2, P3) for row in algebra.cocycle for m in row)
+
+
 def test_torus_cocycle_reproduces_defining_product():
     # delta^(m,n) delta^(k,l) = q^(-k n) delta^(m+k, n+l)
     for m, n, k, l in itertools.product(range(-2, 3), repeat=4):

@@ -1,12 +1,13 @@
 """Structure maps: map data, linearity, homomorphism behavior, laws."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from qtorus.phases import ONE, ZERO, PhaseScalar, phase_pow
-from qtorus.algebra import CIRCLE, P2, P3, TORUS, AlgebraElement
+from qtorus.algebra import CIRCLE, P2, P3, TORUS, AlgebraDescriptor, AlgebraElement
 from qtorus.maps import (
     GENERATOR_IMAGES,
     MAPS,
@@ -92,6 +93,65 @@ def test_map_kernel_gives_the_index_and_phase_of_its_data(name):
         index = tuple(sum(m * k for m, k in zip(row, a)) for row in fmap.matrix)
         phase = sum(m * a[i] * a[j] for i, j, m in fmap.phase)
         assert fmap.image(a) == (index, phase + sum(m * k for m, k in zip(linear, a))), a
+
+
+# The six one-factor lifts as tables (source, target, A, quadratic part of P): the
+# reference that their one construction from comult, counit and antipode must give exactly.
+LIFT_TABLES = {
+    "delta-id": (P2, P3, ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0),
+                          (0, 0, 1, 0), (0, 0, 0, 1)), ((0, 1, -1),)),
+    "id-delta": (P2, P3, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                          (0, 0, 1, 0), (0, 0, 0, 1)), ((2, 3, -1),)),
+    "eps-id": (P2, TORUS, ((0, 0, 1, 0), (0, 0, 0, 1)), ((0, 1, 1),)),
+    "id-eps": (P2, TORUS, ((1, 0, 0, 0), (0, 1, 0, 0)), ((2, 3, 1),)),
+    "S-id": (P2, P2, ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), ()),
+    "id-S": (P2, P2, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)), ()),
+}
+
+
+@pytest.mark.parametrize("name", list(LIFT_TABLES))
+def test_each_lift_is_its_reference_table(name):
+    fmap, (source, target, matrix, phase) = MAPS[name], LIFT_TABLES[name]
+    assert (fmap.source, fmap.target, fmap.matrix, fmap.phase, fmap.linear) == (
+        source, target, matrix, phase, ())
+    assert fmap.source is source and fmap.target is target  # so both pickle by name
+
+
+def _homomorphism_defect(fmap):
+    """Phi_src + Q + Q^T - A^T Phi_tgt A, with Q the quadratic part of P: zero exactly when
+    f(x y) = f(x) f(y) for all exponents, both sides being the same bilinear form in (a, b)."""
+    d, a, phi = fmap.source.d, fmap.matrix, fmap.target.cocycle
+    q = [[0] * d for _ in range(d)]
+    for i, j, m in fmap.phase:
+        q[i][j] += m
+    pulled = [[sum(a[r][i] * phi[r][c] * a[c][j] for r in range(len(a)) for c in range(len(a)))
+               for j in range(d)] for i in range(d)]
+    return [[fmap.source.cocycle[i][j] + q[i][j] + q[j][i] - pulled[i][j] for j in range(d)]
+            for i in range(d)]
+
+
+def _p3_twisting_every_pair():
+    """p3 with the neighbours' twist also between factors 1 and 3: block (3, 1) as block (2, 1)."""
+    rows = [list(row) for row in P3.cocycle]
+    for i in (0, 1):
+        rows[4 + i][0:2] = P3.cocycle[2 + i][0:2]
+    return AlgebraDescriptor("p3-every-pair", P3.generator_names, tuple(map(tuple, rows)))
+
+
+HOMOMORPHISM_CASES = [
+    *((fmap, name in {"delta", "S", "delta-id", "id-delta", "circle-delta", "embed-left",
+                      "embed-right"}) for name, fmap in ALL_MAPS.items()),
+    # the neighbour rule is forced: twisting every pair breaks both lifted comultiplications
+    *((dataclasses.replace(fmap, target=_p3_twisting_every_pair()), False)
+      for fmap in (lift_left_comult, lift_right_comult)),
+]
+
+
+@pytest.mark.parametrize("fmap, holds", HOMOMORPHISM_CASES,
+                         ids=[f"{f.name}->{f.target.name}" for f, _ in HOMOMORPHISM_CASES])
+def test_the_homomorphism_law_for_all_exponents_holds_exactly_where_pinned(fmap, holds):
+    defect = _homomorphism_defect(fmap)
+    assert (defect == [[0] * fmap.source.d] * fmap.source.d) == holds, defect
 
 
 def test_comult_kernel_source_is_pinned():
